@@ -110,6 +110,16 @@ Graph read_binary(const std::string& path) {
   const u64 n = read_pod<u64>(in);
   const u64 m = read_pod<u64>(in);
   SRSR_CHECK(n < kInvalidNode, "read_binary: node count too large");
+  // Size the arrays from the header only once the file is known to hold
+  // them: a forged edge count must not turn into an unbounded allocation.
+  const std::streampos body = in.tellg();
+  in.seekg(0, std::ios::end);
+  const u64 remaining = static_cast<u64>(in.tellg() - body);
+  in.seekg(body);
+  SRSR_CHECK(m <= remaining / sizeof(NodeId) &&
+                 n + 1 <= (remaining - m * sizeof(NodeId)) / sizeof(u64),
+             "read_binary: truncated file ", path, " (header claims ", n,
+             " nodes and ", m, " edges, body has ", remaining, " bytes)");
   std::vector<u64> offsets(n + 1);
   in.read(reinterpret_cast<char*>(offsets.data()),
           static_cast<std::streamsize>(offsets.size() * sizeof(u64)));

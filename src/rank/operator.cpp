@@ -106,18 +106,16 @@ f64 ThrottledView::pull_off_diagonal(NodeId v, std::span<const f64> x) const {
   return acc;
 }
 
-OperatorRow throttled_row(const StochasticMatrix& base,
-                          const RowAffinePlan& plan, NodeId u,
-                          std::vector<NodeId>& cols_scratch,
-                          std::vector<f64>& weights_scratch) {
+OperatorRow ThrottledView::row(NodeId u, std::vector<NodeId>& cols_scratch,
+                               std::vector<f64>& weights_scratch) const {
   // srsr:hot throttled-row — per-sweep row synthesis for the
   // Gauss-Seidel and push solvers. The scratch vectors are caller-owned
   // and reused across every row of a solve, so the growth calls below
   // are amortized-zero after the first sweep.
-  const auto cs = base.row_cols(u);
-  const auto ws = base.row_weights(u);
-  const f64 scale = plan.off_scale[u];
-  const f64 diag = plan.diagonal[u];
+  const auto cs = base_->row_cols(u);
+  const auto ws = base_->row_weights(u);
+  const f64 scale = plan_.off_scale[u];
+  const f64 diag = plan_.diagonal[u];
 
   bool has_self = false;
   for (const NodeId c : cs)
@@ -157,11 +155,6 @@ OperatorRow throttled_row(const StochasticMatrix& base,
   }
   return {cols_scratch, weights_scratch};
   // srsr:endhot
-}
-
-OperatorRow ThrottledView::row(NodeId u, std::vector<NodeId>& cols_scratch,
-                               std::vector<f64>& weights_scratch) const {
-  return throttled_row(*base_, plan_, u, cols_scratch, weights_scratch);
 }
 
 }  // namespace srsr::rank

@@ -92,16 +92,6 @@ class TransitionOperator {
   virtual u64 memory_bytes() const = 0;
 };
 
-/// Forward row u of the plan applied to `base` — off-diagonal entries
-/// scaled by off_scale[u], the diagonal overridden (spliced into the
-/// sorted column list when the base pattern has no self entry). Shared
-/// by ThrottledView::row and ShardedOperator::row so the two forward
-/// views can never drift apart.
-OperatorRow throttled_row(const StochasticMatrix& base,
-                          const RowAffinePlan& plan, NodeId u,
-                          std::vector<NodeId>& cols_scratch,
-                          std::vector<f64>& weights_scratch);
-
 /// Today's behavior, factored out: wraps a materialized matrix and
 /// transposes it once at construction. The wrapped matrix must outlive
 /// the operator.
@@ -152,6 +142,9 @@ class ThrottledView final : public TransitionOperator {
   void pull(std::span<const f64> x, std::span<f64> y) const override;
   f64 pull_off_diagonal(NodeId v, std::span<const f64> x) const override;
   f64 diagonal(NodeId v) const override { return plan_.diagonal[v]; }
+  /// Off-diagonal entries scaled by off_scale[u], the diagonal
+  /// overridden (spliced into the sorted column list when the base
+  /// pattern has no self entry).
   OperatorRow row(NodeId u, std::vector<NodeId>& cols_scratch,
                   std::vector<f64>& weights_scratch) const override;
   /// Only the plan is owned; the CSR arrays belong to the caller.

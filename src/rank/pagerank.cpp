@@ -4,31 +4,12 @@
 
 #include "graph/transforms.hpp"
 #include "obs/metrics.hpp"
+#include "rank/stochastic.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace srsr::rank {
-
-namespace {
-
-/// Validates a teleport distribution and returns a normalized copy.
-std::vector<f64> normalize_teleport(const std::vector<f64>& t, NodeId n) {
-  SRSR_CHECK(t.size() == n, "PageRank: teleport vector size mismatch (",
-             t.size(), " entries, ", n, " nodes)");
-  f64 sum = 0.0;
-  for (const f64 v : t) {
-    SRSR_CHECK(std::isfinite(v), "PageRank: teleport entry is not finite");
-    SRSR_CHECK(v >= 0.0, "PageRank: teleport entries must be non-negative");
-    sum += v;
-  }
-  SRSR_CHECK(sum > 0.0, "PageRank: teleport vector must have positive mass");
-  std::vector<f64> out(t);
-  for (f64& v : out) v /= sum;
-  return out;
-}
-
-}  // namespace
 
 PageRank::PageRank(const graph::Graph& g)
     : graph_(&g), reverse_(graph::reverse(g)) {
@@ -53,13 +34,10 @@ RankResult PageRank::solve(const PageRankConfig& config) const {
   }
   WallTimer timer;
 
-  std::vector<f64> teleport =
-      config.teleport ? normalize_teleport(*config.teleport, n)
-                      : std::vector<f64>(n, 1.0 / static_cast<f64>(n));
-
+  const std::vector<f64> teleport =
+      normalized_distribution(config.teleport, n, "PageRank: teleport");
   std::vector<f64> cur =
-      config.initial ? normalize_teleport(*config.initial, n)
-                     : std::vector<f64>(n, 1.0 / static_cast<f64>(n));
+      normalized_distribution(config.initial, n, "PageRank: initial");
   std::vector<f64> next(n, 0.0);
   const f64 alpha = config.alpha;
   obs::IterationTrace* const trace = config.convergence.trace;

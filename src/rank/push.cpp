@@ -11,23 +11,6 @@ namespace srsr::rank {
 
 namespace {
 
-std::vector<f64> make_teleport(const PushConfig& config, NodeId n) {
-  if (!config.teleport) return std::vector<f64>(n, 1.0 / static_cast<f64>(n));
-  const auto& t = *config.teleport;
-  SRSR_CHECK(t.size() == n, "push: teleport size mismatch (", t.size(),
-             " entries, ", n, " rows)");
-  f64 sum = 0.0;
-  for (const f64 v : t) {
-    SRSR_CHECK(std::isfinite(v), "push: teleport entry is not finite");
-    SRSR_CHECK(v >= 0.0, "push: teleport entries must be non-negative");
-    sum += v;
-  }
-  SRSR_CHECK(sum > 0.0, "push: teleport must have positive mass");
-  std::vector<f64> out(t);
-  for (f64& v : out) v /= sum;
-  return out;
-}
-
 /// Core loop: pushes residual mass until every |r_u| < epsilon.
 /// `row_of(u)` serves forward row u as an OperatorRow — direct CSR
 /// spans for a matrix, on-the-fly weights for a view.
@@ -164,7 +147,8 @@ PushResult push_solve(const StochasticMatrix& matrix,
                       const PushConfig& config) {
   const NodeId n = matrix.num_rows();
   std::vector<f64> p(n, 0.0);
-  std::vector<f64> r = make_teleport(config, n);
+  std::vector<f64> r =
+      normalized_distribution(config.teleport, n, "push: teleport");
   return run_push(n, config, std::move(p), std::move(r), [&](NodeId u) {
     return OperatorRow{matrix.row_cols(u), matrix.row_weights(u)};
   });
@@ -176,7 +160,8 @@ PushResult push_update(const StochasticMatrix& matrix,
   const NodeId n = matrix.num_rows();
   SRSR_CHECK(old_scores.size() == n,
              "push_update: old solution size mismatch");
-  const std::vector<f64> teleport = make_teleport(config, n);
+  const std::vector<f64> teleport =
+      normalized_distribution(config.teleport, n, "push: teleport");
 
   std::vector<f64> p(old_scores.begin(), old_scores.end());
   std::vector<f64> pulled(n, 0.0);
@@ -190,7 +175,8 @@ PushResult push_update(const StochasticMatrix& matrix,
 PushResult push_solve(const TransitionOperator& op, const PushConfig& config) {
   const NodeId n = op.num_rows();
   std::vector<f64> p(n, 0.0);
-  std::vector<f64> r = make_teleport(config, n);
+  std::vector<f64> r =
+      normalized_distribution(config.teleport, n, "push: teleport");
   std::vector<NodeId> cols_scratch;
   std::vector<f64> weights_scratch;
   return run_push(n, config, std::move(p), std::move(r), [&](NodeId u) {
@@ -203,7 +189,8 @@ PushResult push_update(const TransitionOperator& op, const PushConfig& config,
   const NodeId n = op.num_rows();
   SRSR_CHECK(old_scores.size() == n,
              "push_update: old solution size mismatch");
-  const std::vector<f64> teleport = make_teleport(config, n);
+  const std::vector<f64> teleport =
+      normalized_distribution(config.teleport, n, "push: teleport");
 
   std::vector<f64> p(old_scores.begin(), old_scores.end());
   std::vector<f64> pulled(n, 0.0);

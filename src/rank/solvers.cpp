@@ -2,50 +2,11 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "rank/solver_internal.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace srsr::rank {
-
-namespace internal {
-
-std::vector<f64> make_teleport(const SolverConfig& config, NodeId n) {
-  if (!config.teleport) return std::vector<f64>(n, 1.0 / static_cast<f64>(n));
-  const auto& t = *config.teleport;
-  SRSR_CHECK(t.size() == n, "solver: teleport vector size mismatch (",
-             t.size(), " entries, ", n, " rows)");
-  f64 sum = 0.0;
-  for (const f64 v : t) {
-    SRSR_CHECK(std::isfinite(v), "solver: teleport entry is not finite");
-    SRSR_CHECK(v >= 0.0, "solver: teleport entries must be non-negative");
-    sum += v;
-  }
-  SRSR_CHECK(sum > 0.0, "solver: teleport vector must have positive mass");
-  std::vector<f64> out(t);
-  for (f64& v : out) v /= sum;
-  return out;
-}
-
-std::vector<f64> make_initial(const SolverConfig& config, NodeId n) {
-  if (!config.initial) return std::vector<f64>(n, 1.0 / static_cast<f64>(n));
-  const auto& init = *config.initial;
-  SRSR_CHECK(init.size() == n, "solver: initial vector size mismatch (",
-             init.size(), " entries, ", n, " rows)");
-  f64 sum = 0.0;
-  for (const f64 v : init) {
-    SRSR_CHECK(std::isfinite(v), "solver: initial entry is not finite");
-    SRSR_CHECK(v >= 0.0, "solver: initial entries must be non-negative");
-    sum += v;
-  }
-  SRSR_CHECK(sum > 0.0, "solver: initial vector must have positive mass");
-  std::vector<f64> out(init);
-  for (f64& v : out) v /= sum;
-  return out;
-}
-
-}  // namespace internal
 
 namespace {
 
@@ -72,11 +33,15 @@ RankResult iterate(const TransitionOperator& op, const SolverConfig& config,
   }
   WallTimer timer;
 
-  const std::vector<f64> teleport = internal::make_teleport(config, n);
+  const std::vector<f64> teleport =
+
+      normalized_distribution(config.teleport, n, "solver: teleport");
   const std::vector<f64>& deficits = op.deficits();
   const f64 alpha = config.alpha;
 
-  std::vector<f64> cur = internal::make_initial(config, n);
+  std::vector<f64> cur =
+
+      normalized_distribution(config.initial, n, "solver: initial");
   std::vector<f64> next(n, 0.0);
   obs::IterationTrace* const trace = config.convergence.trace;
   f64 first_residual = 0.0;

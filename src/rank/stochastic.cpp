@@ -78,15 +78,16 @@ StochasticMatrix StochasticMatrix::uniform_from_graph(const graph::Graph& g) {
 
 StochasticMatrix StochasticMatrix::from_rows(
     NodeId n, const std::vector<std::vector<std::pair<NodeId, f64>>>& rows) {
-  check(rows.size() == n, "StochasticMatrix::from_rows: row count mismatch");
+  SRSR_CHECK(rows.size() == n,
+             "StochasticMatrix::from_rows: row count mismatch");
   std::vector<u64> offsets(static_cast<std::size_t>(n) + 1, 0);
   std::vector<NodeId> cols;
   std::vector<f64> weights;
   for (NodeId r = 0; r < n; ++r) {
     f64 total = 0.0;
     for (const auto& [c, w] : rows[r]) {
-      check(c < n, "StochasticMatrix::from_rows: column out of range");
-      check(w >= 0.0, "StochasticMatrix::from_rows: negative weight");
+      SRSR_CHECK(c < n, "StochasticMatrix::from_rows: column out of range");
+      SRSR_CHECK(w >= 0.0, "StochasticMatrix::from_rows: negative weight");
       total += w;
     }
     for (const auto& [c, w] : rows[r]) {
@@ -224,6 +225,23 @@ StochasticMatrix StochasticMatrix::transpose() const {
   // bypass row-sum validation.
   return StochasticMatrix(std::move(offsets), std::move(cols),
                           std::move(weights), true);
+}
+
+std::vector<f64> normalized_distribution(
+    const std::optional<std::vector<f64>>& v, NodeId n, const char* what) {
+  if (!v) return std::vector<f64>(n, 1.0 / static_cast<f64>(n));
+  SRSR_CHECK(v->size() == n, what, " vector size mismatch (", v->size(),
+             " entries, ", n, " rows)");
+  f64 sum = 0.0;
+  for (const f64 x : *v) {
+    SRSR_CHECK(std::isfinite(x), what, " entry is not finite");
+    SRSR_CHECK(x >= 0.0, what, " entries must be non-negative");
+    sum += x;
+  }
+  SRSR_CHECK(sum > 0.0, what, " vector must have positive mass");
+  std::vector<f64> out(*v);
+  for (f64& x : out) x /= sum;
+  return out;
 }
 
 }  // namespace srsr::rank

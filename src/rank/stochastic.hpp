@@ -12,6 +12,7 @@
 // build the matrix once, transpose once, iterate many times.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -97,5 +98,12 @@ class StochasticMatrix {
   std::vector<f64> weights_;
   bool rows_sorted_ = true;
 };
+
+/// A solver's teleport or starting distribution over `n` nodes: uniform
+/// when `v` is empty, otherwise `v` validated (size n, finite,
+/// non-negative, positive mass) and divided by its sum. `what` prefixes
+/// the error messages (e.g. "solver: teleport").
+std::vector<f64> normalized_distribution(
+    const std::optional<std::vector<f64>>& v, NodeId n, const char* what);
 
 }  // namespace srsr::rank

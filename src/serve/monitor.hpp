@@ -72,19 +72,13 @@ class SloMonitor {
  public:
   explicit SloMonitor(SloConfig config = {});
 
-  /// Lock-free; called from any number of query threads.
+  /// Lock-free; called from any number of query threads. `seconds`
+  /// must be >= 0 (NaN is rejected too).
   void record_query(f64 seconds);
 
   /// Stamps "the live snapshot is fresh now". Called by the publish
   /// path (one writer).
   void on_publish();
-
-  /// Partial-recompute variant: stamps the live snapshot as
-  /// `oldest_age_seconds` old instead of brand new. The dirty-shard
-  /// publish path reports the age of the oldest shard it did NOT
-  /// re-solve, so the staleness objective covers every shard, not just
-  /// the publish clock.
-  void on_publish(f64 oldest_age_seconds);
 
   /// Evaluates the window since the previous evaluate() against the
   /// objectives, updates breach counters, and returns the new status.

@@ -242,5 +242,20 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "unknown command should fail")
 endif()
 
+# An option the command does not read must be rejected by name, not
+# ignored: a removed flag, and a misspelled one.
+function(expect_unknown_option flag)
+  execute_process(COMMAND "${CLI}" ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "srsr_cli ${ARGN} should fail")
+  endif()
+  if(NOT err MATCHES "unknown option --${flag}")
+    message(FATAL_ERROR "srsr_cli ${ARGN} should name --${flag}:\n${err}")
+  endif()
+endfunction()
+expect_unknown_option(partition rank --in "${DIR}" --partition scc)
+expect_unknown_option(alpah rank --in "${DIR}" --alpah 0.5)
+
 file(REMOVE_RECURSE "${DIR}")
 message(STATUS "cli_test OK")

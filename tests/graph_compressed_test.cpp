@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -118,6 +119,10 @@ struct RoundTripCase {
   f64 p;
   NodeId n;
 };
+
+// Print the case by name so the listed test names are stable; gtest's
+// default byte dump would include the address of `name`.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.name; }
 
 class CompressedRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 

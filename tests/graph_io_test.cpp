@@ -118,6 +118,26 @@ TEST(BinaryIo, RejectsTruncatedFile) {
   EXPECT_THROW(read_binary(tmp.str()), Error);
 }
 
+TEST(BinaryIo, RejectsForgedHeaderBeforeAllocating) {
+  // A bare 28-byte header (magic, version, n, m) whose edge count claims
+  // far more data than the file holds: rejected as srsr::Error, never
+  // attempted as a 2^60-entry allocation (std::bad_alloc).
+  const auto write_header = [](const std::string& path, u64 n, u64 m) {
+    std::ofstream out(path, std::ios::binary);
+    out.write("SRSRGRPH", 8);
+    const u32 version = 1;
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(reinterpret_cast<const char*>(&n), sizeof(n));
+    out.write(reinterpret_cast<const char*>(&m), sizeof(m));
+  };
+  TempPath tmp("forged");
+  for (const u64 m : {u64{1} << 60, ~u64{0}, u64{1}}) {
+    write_header(tmp.str(), 3, m);
+    ASSERT_EQ(std::filesystem::file_size(tmp.str()), 28u);
+    EXPECT_THROW(read_binary(tmp.str()), Error) << "m = " << m;
+  }
+}
+
 TEST(UrlCorpus, GroupsPagesByHost) {
   std::stringstream pages(
       "0 http://a.example/home\n"

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,16 @@ TEST(SloMonitor, RejectsNonPositiveObjectives) {
   SloConfig cfg;
   cfg.p99_objective = 0.0;
   EXPECT_THROW(SloMonitor{cfg}, Error);
+}
+
+TEST(SloMonitor, RejectsNegativeAndNanLatencies) {
+  // Either would fall into the fastest bucket and mask a breach.
+  SloMonitor slo;
+  EXPECT_THROW(slo.record_query(-1e-6), ContractViolation);
+  EXPECT_THROW(slo.record_query(std::numeric_limits<f64>::quiet_NaN()),
+               ContractViolation);
+  slo.record_query(0.0);
+  EXPECT_EQ(slo.status().total_queries, 1u);
 }
 
 // --- DriftMonitor (synthetic score vectors) --------------------------

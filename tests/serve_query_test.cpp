@@ -2,7 +2,7 @@
 // serve/query.hpp): index semantics, host addressing, latency
 // telemetry, and the acceptance contract that compare() reproduces the
 // spam-demotion deltas of the figure harnesses bitwise (same graph,
-// same kappa config, both the lazy-view and the materialized path).
+// same kappa config).
 #include "serve/query.hpp"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "core/srsr.hpp"
 #include "graph/webgen.hpp"
 #include "obs/metrics.hpp"
-#include "rank/solvers.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/store.hpp"
 
@@ -181,22 +180,6 @@ TEST(QueryEngine, CompareReproducesFigureDeltasBitwise) {
     const auto c = engine.compare(s);
     EXPECT_LT(c->delta, 0.0) << "spam source " << s << " was not demoted";
   }
-
-  // The materialized path agrees with a direct solve of the explicit
-  // T'' matrix, bitwise as well.
-  SnapshotBuild mat_build;
-  mat_build.policy = "materialized";
-  mat_build.path = SolvePath::kMaterialized;
-  const auto mat =
-      make_snapshot(model, kappa, corpus.source_hosts, mat_build);
-  rank::SolverConfig sc;
-  sc.alpha = model.config().alpha;
-  sc.convergence = model.config().convergence;
-  const auto direct_mat =
-      rank::power_solve(model.throttled_matrix(kappa), sc);
-  ASSERT_EQ(mat.scores().size(), direct_mat.scores.size());
-  for (NodeId s = 0; s < model.num_sources(); ++s)
-    EXPECT_EQ(mat.score(s), direct_mat.scores[s]);
 }
 
 TEST(QueryEngine, RecordsLatencyHistogramsWhenMetricsEnabled) {
