@@ -1,9 +1,12 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <istream>
 #include <ostream>
+#include <string_view>
 #include <unordered_map>
 
 #include "graph/builder.hpp"
@@ -29,6 +32,113 @@ T read_pod(std::istream& in) {
   SRSR_CHECK(in.good(), "read_binary: truncated file");
   return v;
 }
+
+/// One data line of a two-column text file. `line` is the raw line, for
+/// messages; `first`/`second` are its first two tokens and `two_tokens`
+/// says whether it has exactly two.
+struct Row {
+  std::string_view line, first, second;
+  bool two_tokens = false;
+};
+
+bool is_separator(char c) { return c == ' ' || c == '\t'; }
+
+/// The line reader behind every text format: reads the stream in fixed
+/// 1 MiB blocks and finds newlines with memchr, carrying a partial last
+/// line over to the next block (a line longer than a block grows the
+/// buffer). Lines are what std::getline would return and are numbered
+/// the same way: '\n'-terminated, and a last line without '\n' counts.
+class LineScanner {
+ public:
+  explicit LineScanner(std::istream& in) : in_(in), buf_(kBlock) {}
+
+  /// The next line without its '\n', or false at end of input. The view
+  /// stays valid until the next call.
+  bool next_line(std::string_view& line);
+
+  /// The next data line, skipping blank and '#' lines. Tokens are runs
+  /// of non-separators in the trimmed line.
+  bool next_row(Row& row);
+
+  /// 1-based number of the line last returned.
+  u64 line_number() const { return lineno_; }
+
+ private:
+  static constexpr std::size_t kBlock = std::size_t{1} << 20;
+
+  /// Moves the unread tail to the front and appends the next block.
+  void refill() {
+    const std::size_t carry = end_ - begin_;
+    std::memmove(buf_.data(), buf_.data() + begin_, carry);
+    begin_ = 0;
+    end_ = carry;
+    if (buf_.size() < carry + kBlock) buf_.resize(carry + kBlock);
+    in_.read(buf_.data() + carry, static_cast<std::streamsize>(kBlock));
+    const auto got = static_cast<std::size_t>(in_.gcount());
+    end_ += got;
+    eof_ = got < kBlock;
+  }
+
+  std::istream& in_;
+  std::vector<char> buf_;
+  std::size_t begin_ = 0, end_ = 0;  // unread bytes are buf_[begin_, end_)
+  bool eof_ = false;
+  u64 lineno_ = 0;
+};
+
+// srsr:hot ingest-line — the per-line scan and tokenizer of every text
+// reader.
+bool LineScanner::next_line(std::string_view& line) {
+  for (;;) {
+    const char* base = buf_.data();
+    const auto* nl = static_cast<const char*>(
+        std::memchr(base + begin_, '\n', end_ - begin_));
+    if (nl != nullptr || (eof_ && begin_ < end_)) {
+      const std::size_t stop =
+          nl != nullptr ? static_cast<std::size_t>(nl - base) : end_;
+      line = std::string_view(base + begin_, stop - begin_);
+      begin_ = nl != nullptr ? stop + 1 : stop;
+      ++lineno_;
+      return true;
+    }
+    if (eof_) return false;
+    refill();
+  }
+}
+
+bool LineScanner::next_row(Row& row) {
+  std::string_view line;
+  while (next_line(line)) {
+    const std::string_view body = trim(line);
+    if (body.empty() || body[0] == '#') continue;
+    // `body` is trimmed, so every separator run is followed by a token.
+    std::size_t i = 0;
+    while (i < body.size() && !is_separator(body[i])) ++i;
+    row.line = line;
+    row.first = body.substr(0, i);
+    row.second = {};
+    row.two_tokens = false;
+    if (i < body.size()) {
+      while (is_separator(body[i])) ++i;
+      const std::size_t begin = i;
+      while (i < body.size() && !is_separator(body[i])) ++i;
+      row.second = body.substr(begin, i - begin);
+      row.two_tokens = i == body.size();
+    }
+    return true;
+  }
+  return false;
+}
+// srsr:endhot
+
+/// Hashes std::string and std::string_view alike, so a host map keyed by
+/// std::string is probed with a view and no temporary string.
+struct HostHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 }  // namespace
 
 void write_edge_list(std::ostream& out, const Graph& g) {
@@ -47,31 +157,21 @@ void write_edge_list_file(const std::string& path, const Graph& g) {
 }
 
 Graph read_edge_list(std::istream& in, NodeId num_nodes) {
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  NodeId max_id = 0;
-  bool any = false;
-  std::string line;
-  u64 lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::string_view body = trim(line);
-    if (body.empty() || body[0] == '#') continue;
-    const auto tokens = split(body);
-    SRSR_CHECK(tokens.size() == 2, "read_edge_list: line " +
-                                  std::to_string(lineno) +
-                                  ": expected 'u v', got '" + line + "'");
-    const u64 u = parse_u64(tokens[0]);
-    const u64 v = parse_u64(tokens[1]);
-    SRSR_CHECK(u < kInvalidNode && v < kInvalidNode,
-          "read_edge_list: line " + std::to_string(lineno) + ": id too large");
-    edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
-    max_id = std::max({max_id, static_cast<NodeId>(u), static_cast<NodeId>(v)});
-    any = true;
+  GraphBuilder b(num_nodes);
+  LineScanner scan(in);
+  Row row;
+  // srsr:hot ingest-edge — one edge per line, straight into the builder.
+  while (scan.next_row(row)) {
+    SRSR_CHECK(row.two_tokens, "read_edge_list: line ", scan.line_number(),
+               ": expected 'u v', got '", row.line, "'");
+    const u64 u = parse_u64(row.first);
+    const u64 v = parse_u64(row.second);
+    SRSR_CHECK(u < kInvalidNode && v < kInvalidNode, "read_edge_list: line ",
+               scan.line_number(), ": id too large");
+    if (num_nodes == 0) b.grow(static_cast<NodeId>(std::max(u, v)) + 1);
+    b.add_edge(static_cast<NodeId>(u), static_cast<NodeId>(v));
   }
-  const NodeId n = num_nodes != 0 ? num_nodes : (any ? max_id + 1 : 0);
-  GraphBuilder b(n);
-  b.reserve_edges(edges.size());
-  for (const auto& [u, v] : edges) b.add_edge(u, v);
+  // srsr:endhot
   return b.build();
 }
 
@@ -133,26 +233,32 @@ Graph read_binary(const std::string& path) {
 WebCorpus read_url_corpus(std::istream& pages, std::istream& edges) {
   obs::StageTimer stage("graph.io.read_url_corpus");
   WebCorpus corpus;
-  std::unordered_map<std::string, NodeId> host_to_source;
+  std::unordered_map<std::string, NodeId, HostHash, std::equal_to<>>
+      host_to_source;
   std::vector<std::pair<NodeId, NodeId>> page_rows;  // (page id, source id)
-  std::string line;
-  u64 lineno = 0;
-  while (std::getline(pages, line)) {
-    ++lineno;
-    const std::string_view body = trim(line);
-    if (body.empty() || body[0] == '#') continue;
-    const auto tokens = split(body);
-    SRSR_CHECK(tokens.size() == 2, "read_url_corpus: pages line " +
-                                  std::to_string(lineno) +
-                                  ": expected '<id> <url>'");
-    const u64 id = parse_u64(tokens[0]);
+  std::string host;  // the current page's host, lower-cased; reused
+  LineScanner scan(pages);
+  Row row;
+  // srsr:hot ingest-page — one page per line; a host already seen costs
+  // no allocation.
+  while (scan.next_row(row)) {
+    SRSR_CHECK(row.two_tokens, "read_url_corpus: pages line ",
+               scan.line_number(), ": expected '<id> <url>'");
+    const u64 id = parse_u64(row.first);
     SRSR_CHECK(id < kInvalidNode, "read_url_corpus: page id too large");
-    const std::string host = host_of(tokens[1]);
-    const auto [it, inserted] = host_to_source.emplace(
-        host, static_cast<NodeId>(corpus.source_hosts.size()));
-    if (inserted) corpus.source_hosts.push_back(host);
+    to_lower_into(host_view(row.second), host);
+    auto it = host_to_source.find(std::string_view(host));
+    if (it == host_to_source.end()) {
+      const auto source = static_cast<NodeId>(corpus.source_hosts.size());
+      // srsr-analyze: allow(hotloop): once per new host, not per line
+      it = host_to_source.emplace(host, source).first;
+      // srsr-analyze: allow(hotloop): once per new host, not per line
+      corpus.source_hosts.push_back(host);
+    }
+    // srsr-analyze: allow(hotloop): the page table's row buffer, amortised
     page_rows.emplace_back(static_cast<NodeId>(id), it->second);
   }
+  // srsr:endhot
   SRSR_CHECK(!page_rows.empty(), "read_url_corpus: no pages");
 
   const NodeId np = static_cast<NodeId>(page_rows.size());
@@ -184,11 +290,13 @@ std::vector<NodeId> match_hosts(const WebCorpus& corpus, std::istream& hosts) {
   for (NodeId s = 0; s < corpus.source_hosts.size(); ++s)
     index.emplace(corpus.source_hosts[s], s);
   std::vector<NodeId> out;
-  std::string line;
-  while (std::getline(hosts, line)) {
+  std::string host;
+  LineScanner scan(hosts);
+  std::string_view line;
+  while (scan.next_line(line)) {
     const std::string_view body = trim(line);
     if (body.empty() || body[0] == '#') continue;
-    const std::string host = to_lower(body);
+    to_lower_into(body, host);
     const auto it = index.find(host);
     if (it != index.end()) out.push_back(it->second);
   }

@@ -31,9 +31,9 @@ DynamicSourceGraph::DynamicSourceGraph(const graph::Graph& pages,
   }
   host_ids_.reserve(hosts_.size());
   for (u32 s = 0; s < ns; ++s) {
-    const bool inserted = host_ids_.emplace(hosts_[s], s).second;
-    check(inserted, "DynamicSourceGraph: duplicate host name '" + hosts_[s] +
-                        "' — host names key page additions");
+    if (!host_ids_.emplace(hosts_[s], s).second) [[unlikely]]
+      throw Error("DynamicSourceGraph: duplicate host name '" + hosts_[s] +
+                  "' — host names key page additions");
   }
 
   page_source_ = map.page_source();

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace srsr {
 
@@ -35,8 +36,11 @@ class Error : public std::runtime_error {
 
 /// Throws srsr::Error with `msg` when `cond` is false. Used for argument
 /// validation on public API boundaries; internal invariants use assert().
-inline void check(bool cond, const std::string& msg) {
-  if (!cond) throw Error(msg);
+/// The std::string is built only on failure, so a passing check on a
+/// per-element path costs no allocation. A message that needs
+/// concatenating belongs inside an `if (!cond) [[unlikely]]` branch.
+inline void check(bool cond, std::string_view msg) {
+  if (!cond) [[unlikely]] throw Error(std::string(msg));
 }
 
 }  // namespace srsr

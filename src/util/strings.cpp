@@ -31,9 +31,15 @@ std::string_view trim(std::string_view s) {
 }
 
 std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  std::string out;
+  to_lower_into(s, out);
   return out;
+}
+
+void to_lower_into(std::string_view s, std::string& out) {
+  out.assign(s);
+  for (char& c : out)
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) noexcept {
@@ -44,9 +50,11 @@ u64 parse_u64(std::string_view s) {
   check(!s.empty(), "parse_u64: empty input");
   u64 out = 0;
   for (const char c : s) {
-    check(c >= '0' && c <= '9', "parse_u64: non-digit in '" + std::string(s) + "'");
+    if (c < '0' || c > '9') [[unlikely]]
+      throw Error("parse_u64: non-digit in '" + std::string(s) + "'");
     const u64 digit = static_cast<u64>(c - '0');
-    check(out <= (~0ULL - digit) / 10, "parse_u64: overflow in '" + std::string(s) + "'");
+    if (out > (~0ULL - digit) / 10) [[unlikely]]
+      throw Error("parse_u64: overflow in '" + std::string(s) + "'");
     out = out * 10 + digit;
   }
   return out;
@@ -64,7 +72,7 @@ f64 parse_f64(std::string_view s) {
   return out;
 }
 
-std::string host_of(std::string_view url) {
+std::string_view host_view(std::string_view url) {
   std::string_view rest = trim(url);
   check(!rest.empty(), "host_of: empty URL");
   // Strip a scheme if present ("http://", "https://", "ftp://", ...).
@@ -78,9 +86,12 @@ std::string host_of(std::string_view url) {
   if (at != std::string_view::npos) host = host.substr(at + 1);
   const std::size_t colon = host.find(':');
   if (colon != std::string_view::npos) host = host.substr(0, colon);
-  check(!host.empty(), "host_of: no host in URL '" + std::string(url) + "'");
-  return to_lower(host);
+  if (host.empty()) [[unlikely]]
+    throw Error("host_of: no host in URL '" + std::string(url) + "'");
+  return host;
 }
+
+std::string host_of(std::string_view url) { return to_lower(host_view(url)); }
 
 std::string with_commas(u64 value) {
   std::string digits = std::to_string(value);

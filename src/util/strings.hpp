@@ -21,6 +21,10 @@ std::string_view trim(std::string_view s);
 /// ASCII lower-casing (URLs / hostnames only; no locale).
 std::string to_lower(std::string_view s);
 
+/// to_lower into a caller-owned buffer, so a loop that lower-cases one
+/// string per line reuses one allocation.
+void to_lower_into(std::string_view s, std::string& out);
+
 bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 
 /// Parses a non-negative integer; throws srsr::Error on malformed input
@@ -41,8 +45,13 @@ f64 parse_f64(std::string_view s);
 /// This is the paper's source-assignment function (Sec. 6.1: "we
 /// extracted the host information for each page URL and assigned pages
 /// to sources based on this host information"). Throws on strings with
-/// no plausible host.
+/// no plausible host. Equal to to_lower(host_view(url)).
 std::string host_of(std::string_view url);
+
+/// The host span of `url` as written (not lower-cased), aliasing `url`:
+/// the one place the scheme / userinfo / port / path rules live. Throws
+/// exactly as host_of does.
+std::string_view host_view(std::string_view url);
 
 /// Formats with thousands separators, e.g. 12554332 -> "12,554,332"
 /// (used when printing Table 1-style summaries).

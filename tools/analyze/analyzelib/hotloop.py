@@ -4,11 +4,14 @@ The solver kernels live inside `// srsr:hot <label>` ...
 `// srsr:endhot` fences. Inside a fence, anything that can touch the
 allocator is flagged: `new`, owning-container construction,
 growth-capable `push_back`/`emplace_back`/`insert`/`resize`/`reserve`,
-`make_unique`/`make_shared`, and std::string temporaries. The fenced
-kernels are the per-iteration pull/push loops and `exchange_halo` —
+`make_unique`/`make_shared`, std::string temporaries (`std::string(...)`,
+`std::to_string(...)`), and `check(cond, msg)` calls whose message is
+concatenated with `+` — `check` builds its std::string only on failure,
+but a concatenated argument is built on every call. The fenced code is
+the per-iteration pull/push loops and the per-line text ingest scan —
 the layers whose zero-steady-state-allocation property the
-micro_kernels bench measures; this pass keeps the property true
-between bench runs.
+micro_kernels and perfbench runs measure; this pass keeps the property
+true between bench runs.
 
 Fences must be properly closed and may not nest. The pass fails if the
 tree contains no fences at all — that means someone deleted the
@@ -40,7 +43,40 @@ RULES = [
      "growth-capable container operation in a hot region"),
     ("make-owned", re.compile(r"\bmake_(?:unique|shared)\s*\("),
      "heap allocation via make_unique/make_shared in a hot region"),
+    ("string-temp", re.compile(r"\bstd::(?:string\s*[({]|to_string\s*\()"),
+     "std::string temporary in a hot region"),
 ]
+
+RE_CHECK = re.compile(r"(?<![\w.>])(?:srsr::)?check\s*\(")
+CHECK_MSG = ("check() message concatenated with `+` in a hot region — "
+             "it is built on every call; throw from an `if (!cond)` "
+             "branch instead")
+
+
+def concatenated_check(lines: list[str], index: int) -> bool:
+    """True when a `check(` call starting on lines[index] passes a
+    message built with `+`. The call may span lines; string literals
+    are already blanked, so only code-level `+` counts."""
+    m = RE_CHECK.search(lines[index])
+    if not m:
+        return False
+    text = lines[index][m.end():]
+    for extra in lines[index + 1:index + 8]:
+        text += "\n" + extra
+    depth, comma = 0, -1
+    for pos, c in enumerate(text):
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            if depth == 0:
+                text = text[:pos]
+                break
+            depth -= 1
+        elif c == "," and depth == 0 and comma < 0:
+            comma = pos
+    if comma < 0:
+        return False
+    return re.search(r"(?<![+])\+(?![+=])", text[comma + 1:]) is not None
 
 
 def run(ctx: Context) -> PassResult:
@@ -84,12 +120,14 @@ def run(ctx: Context) -> PassResult:
             line = sf.lines[lineno - 1]
             if sf.waived(lineno, PASS_NAME):
                 continue
-            for rule, rx, msg in RULES:
-                if rx.search(line):
-                    flagged += 1
-                    violations.append(Violation(
-                        sf.rel, lineno, PASS_NAME,
-                        f"{msg} (hot region `{label}`)"))
+            messages = [msg for _, rx, msg in RULES if rx.search(line)]
+            if concatenated_check(sf.lines, lineno - 1):
+                messages.append(CHECK_MSG)
+            for msg in messages:
+                flagged += 1
+                violations.append(Violation(
+                    sf.rel, lineno, PASS_NAME,
+                    f"{msg} (hot region `{label}`)"))
         if open_line:
             violations.append(Violation(
                 sf.rel, open_line, PASS_NAME,

@@ -50,7 +50,8 @@ CASES = [
      True, []),
     ("hotloop/bad",
      [ANALYZE, "--repo", f"{FIX}/hotloop_bad", "--pass", "hotloop"],
-     False, ["hot region"]),
+     False, ["hot region", "std::string temporary",
+             "message concatenated with `+`"]),
     ("contracts/good",
      [ANALYZE, "--repo", f"{FIX}/contracts_good", "--pass", "contracts",
       "--baseline", f"{FIX}/contracts_good/baseline.json"],
