@@ -71,6 +71,15 @@ grep -q '"traceEvents"' "$TRACE_JSON" \
 grep -q '"serve.recompute"' "$TRACE_JSON" \
   || { echo "ci: serve trace missing recompute span" >&2; exit 1; }
 
+stage "trace coverage (rank --trace-out | check_trace_coverage.py)"
+# A traced batch rank must account for its wall time: the direct
+# children of the cli.rank root (load, model build, solve) cover at
+# least 95 % of it, so no stage hides outside every span.
+RANK_TRACE="$SERVE_DIR/rank_trace.json"
+./build/tools/srsr_cli rank --in "$SERVE_DIR" --top 3 --trace-out "$RANK_TRACE"
+python3 tools/lint/check_trace_coverage.py "$RANK_TRACE" --root cli.rank --min 0.95 \
+  || { echo "ci: rank trace coverage below 95 %" >&2; exit 1; }
+
 stage "clang-tidy (scripts/tidy.sh)"
 scripts/tidy.sh
 

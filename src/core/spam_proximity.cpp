@@ -5,7 +5,7 @@
 #include "graph/transforms.hpp"
 #include "util/check.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stage_timer.hpp"
+#include "obs/scope.hpp"
 #include "rank/pagerank.hpp"
 
 namespace srsr::core {
@@ -17,7 +17,7 @@ rank::RankResult spam_proximity(const graph::Graph& source_topology,
   SRSR_CHECK(std::isfinite(config.beta) && config.beta >= 0.0 &&
                  config.beta < 1.0,
              "spam_proximity: beta = ", config.beta, ", must be in [0, 1)");
-  obs::StageTimer stage("core.spam_proximity");
+  obs::Scope stage("core.spam_proximity");
   if (obs::metrics_enabled())
     obs::MetricsRegistry::instance()
         .counter("srsr.core.spam_proximity.solves")

@@ -2,8 +2,7 @@
 
 #include <cmath>
 
-#include "obs/span.hpp"
-#include "obs/stage_timer.hpp"
+#include "obs/scope.hpp"
 #include "util/check.hpp"
 
 namespace srsr::core {
@@ -14,7 +13,7 @@ namespace {
 /// order (the graph is constructed before the ctor body runs).
 SourceGraph build_source_graph(const graph::Graph& pages,
                                const SourceMap& map) {
-  obs::StageTimer stage("core.source_graph_build");
+  obs::Scope stage("core.source_graph_build");
   return SourceGraph(pages, map);
 }
 
@@ -29,7 +28,7 @@ SpamResilientSourceRank::SpamResilientSourceRank(const graph::Graph& pages,
              "SpamResilientSourceRank: alpha = ", config_.alpha,
              ", must be in [0, 1)");
   {
-    obs::StageTimer stage("core.base_matrix_build");
+    obs::Scope stage("core.base_matrix_build");
     base_matrix_ = config_.weighting == EdgeWeighting::kConsensus
                        ? source_graph_.consensus_matrix(config_.self_edges)
                        : source_graph_.uniform_matrix(config_.self_edges);
@@ -47,7 +46,7 @@ SpamResilientSourceRank::SpamResilientSourceRank(const graph::Graph& pages,
 
 rank::StochasticMatrix SpamResilientSourceRank::throttled_matrix(
     std::span<const f64> kappa) const {
-  obs::StageTimer stage("core.throttle_transform");
+  obs::Scope stage("core.throttle_transform");
   return materialize_throttled(
       base_matrix_, make_throttle_plan(row_stats_, kappa,
                                        config_.throttle_mode));
@@ -55,8 +54,7 @@ rank::StochasticMatrix SpamResilientSourceRank::throttled_matrix(
 
 rank::ThrottledView SpamResilientSourceRank::throttled_view(
     std::span<const f64> kappa) const {
-  obs::Span span("core.throttle_plan");
-  obs::StageTimer stage("core.throttle_plan");
+  obs::Scope stage("core.throttle_plan");
   return rank::ThrottledView(
       base_matrix_, base_transpose_,
       make_throttle_plan(row_stats_, kappa, config_.throttle_mode));
@@ -65,8 +63,7 @@ rank::ThrottledView SpamResilientSourceRank::throttled_view(
 rank::RankResult SpamResilientSourceRank::solve(
     const rank::TransitionOperator& op,
     std::span<const f64> warm_start) const {
-  obs::Span span("core.solve");
-  obs::StageTimer stage("core.solve");
+  obs::Scope stage("core.solve");
   rank::SolverConfig sc;
   sc.alpha = config_.alpha;
   sc.convergence = config_.convergence;

@@ -10,7 +10,7 @@
 #include <unordered_map>
 
 #include "graph/builder.hpp"
-#include "obs/stage_timer.hpp"
+#include "obs/scope.hpp"
 #include "util/strings.hpp"
 #include "util/check.hpp"
 
@@ -149,7 +149,7 @@ void write_edge_list(std::ostream& out, const Graph& g) {
 }
 
 void write_edge_list_file(const std::string& path, const Graph& g) {
-  obs::StageTimer stage("graph.io.write_edge_list");
+  obs::Scope stage("graph.io.write_edge_list");
   std::ofstream out(path);
   SRSR_CHECK(out.good(), "write_edge_list_file: cannot open " + path);
   write_edge_list(out, g);
@@ -176,14 +176,14 @@ Graph read_edge_list(std::istream& in, NodeId num_nodes) {
 }
 
 Graph read_edge_list_file(const std::string& path, NodeId num_nodes) {
-  obs::StageTimer stage("graph.io.read_edge_list");
+  obs::Scope stage("graph.io.read_edge_list");
   std::ifstream in(path);
   SRSR_CHECK(in.good(), "read_edge_list_file: cannot open " + path);
   return read_edge_list(in, num_nodes);
 }
 
 void write_binary(const std::string& path, const Graph& g) {
-  obs::StageTimer stage("graph.io.write_binary");
+  obs::Scope stage("graph.io.write_binary");
   std::ofstream out(path, std::ios::binary);
   SRSR_CHECK(out.good(), "write_binary: cannot open " + path);
   out.write(kMagic, sizeof(kMagic));
@@ -198,7 +198,7 @@ void write_binary(const std::string& path, const Graph& g) {
 }
 
 Graph read_binary(const std::string& path) {
-  obs::StageTimer stage("graph.io.read_binary");
+  obs::Scope stage("graph.io.read_binary");
   std::ifstream in(path, std::ios::binary);
   SRSR_CHECK(in.good(), "read_binary: cannot open " + path);
   char magic[8];
@@ -231,7 +231,7 @@ Graph read_binary(const std::string& path) {
 }
 
 WebCorpus read_url_corpus(std::istream& pages, std::istream& edges) {
-  obs::StageTimer stage("graph.io.read_url_corpus");
+  obs::Scope stage("graph.io.read_url_corpus");
   WebCorpus corpus;
   std::unordered_map<std::string, NodeId, HostHash, std::equal_to<>>
       host_to_source;

@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "graph/builder.hpp"
-#include "obs/stage_timer.hpp"
+#include "obs/scope.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -49,7 +49,7 @@ f64 WebCorpus::measured_locality() const {
 }
 
 WebCorpus generate_web_corpus(const WebGenConfig& cfg) {
-  obs::StageTimer stage("graph.webgen.generate");
+  obs::Scope stage("graph.webgen.generate");
   SRSR_CHECK(cfg.num_sources > 0, "webgen: num_sources must be positive");
   SRSR_CHECK(cfg.num_spam_sources < cfg.num_sources,
              "webgen: spam sources must be a strict subset");

@@ -1,7 +1,7 @@
 // Structured per-run JSON reports.
 //
 // A RunReport is the machine-readable record of one solve/bench/CLI
-// run: free-form metadata, per-stage wall times (fed by StageTimer),
+// run: free-form metadata, per-stage wall times (fed by obs::Scope),
 // the solver outcome with its trace summary, the full per-iteration
 // residual series, and optionally a snapshot of the metrics registry.
 //

@@ -1,8 +1,10 @@
 // Causal span tracing.
 //
-// A Span is the tracing counterpart of StageTimer: it measures a scope,
-// but additionally records *where in the request tree* the scope ran —
-// every span carries a trace id (one per root request), its own span id,
+// A Span is the tracer's record type: it measures a scope and records
+// *where in the request tree* the scope ran. Stage boundaries do not
+// construct one directly; they open an obs::Scope (obs/scope.hpp),
+// which owns a Span next to its stage histogram and RunReport entry.
+// Every span carries a trace id (one per root request), its own span id,
 // and its parent's span id, so one serve query or snapshot publish
 // yields a complete causal tree from the line-protocol request down to
 // the solver stages it triggered.

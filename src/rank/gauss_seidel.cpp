@@ -3,8 +3,8 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
+#include "obs/scope.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace srsr::rank {
 
@@ -19,43 +19,13 @@ RankResult gauss_seidel_solve(const TransitionOperator& op,
     result.converged = true;
     return result;
   }
-  WallTimer timer;
+  obs::Scope scope("rank.gauss_seidel.solve");
 
-  std::vector<f64> teleport;
-  if (config.teleport) {
-    teleport = *config.teleport;
-    SRSR_CHECK(teleport.size() == n, "gauss_seidel: teleport size mismatch (",
-               teleport.size(), " entries, ", n, " rows)");
-    f64 sum = 0.0;
-    for (const f64 v : teleport) {
-      SRSR_CHECK(std::isfinite(v), "gauss_seidel: teleport entry not finite");
-      SRSR_CHECK(v >= 0.0,
-                 "gauss_seidel: teleport entries must be non-negative");
-      sum += v;
-    }
-    SRSR_CHECK(sum > 0.0, "gauss_seidel: teleport must have positive mass");
-    for (f64& v : teleport) v /= sum;
-  } else {
-    teleport.assign(n, 1.0 / static_cast<f64>(n));
-  }
-
+  const std::vector<f64> teleport =
+      normalized_distribution(config.teleport, n, "gauss_seidel: teleport");
   const f64 alpha = config.alpha;
-
-  std::vector<f64> x(n, 1.0 / static_cast<f64>(n));
-  if (config.initial) {
-    const auto& init = *config.initial;
-    SRSR_CHECK(init.size() == n, "gauss_seidel: initial size mismatch (",
-               init.size(), " entries, ", n, " rows)");
-    f64 sum = 0.0;
-    for (const f64 v : init) {
-      SRSR_CHECK(std::isfinite(v), "gauss_seidel: initial entry not finite");
-      SRSR_CHECK(v >= 0.0,
-                 "gauss_seidel: initial entries must be non-negative");
-      sum += v;
-    }
-    SRSR_CHECK(sum > 0.0, "gauss_seidel: initial must have positive mass");
-    for (NodeId v = 0; v < n; ++v) x[v] = init[v] / sum;
-  }
+  std::vector<f64> x =
+      normalized_distribution(config.initial, n, "gauss_seidel: initial");
   std::vector<f64> prev(n);
   obs::IterationTrace* const trace = config.convergence.trace;
   f64 first_residual = 0.0;
@@ -74,7 +44,7 @@ RankResult gauss_seidel_solve(const TransitionOperator& op,
     if (iter == 0) first_residual = result.residual;
     if (trace)
       trace->on_iteration({iter + 1, result.residual, linf_distance(prev, x),
-                           timer.seconds()});
+                           scope.elapsed()});
     if (result.residual < config.convergence.tolerance) {
       result.converged = true;
       break;
@@ -89,14 +59,13 @@ RankResult gauss_seidel_solve(const TransitionOperator& op,
   result.scores = std::move(x);
   SRSR_DEBUG_VALIDATE(validate_probability_vector(result.scores, 1e-6,
                                                   "gauss_seidel output"));
-  result.seconds = timer.seconds();
+  result.seconds = scope.finish();
   result.trace = obs::make_trace_summary(result.iterations, first_residual,
                                          result.residual);
   if (obs::metrics_enabled()) {
     auto& reg = obs::MetricsRegistry::instance();
     reg.counter("srsr.rank.gauss_seidel.solves").add();
     reg.counter("srsr.rank.gauss_seidel.iterations").add(result.iterations);
-    reg.histogram("srsr.rank.gauss_seidel.seconds").observe(result.seconds);
   }
   return result;
 }

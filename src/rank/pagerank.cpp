@@ -4,10 +4,10 @@
 
 #include "graph/transforms.hpp"
 #include "obs/metrics.hpp"
+#include "obs/scope.hpp"
 #include "rank/stochastic.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
-#include "util/timer.hpp"
 
 namespace srsr::rank {
 
@@ -32,7 +32,7 @@ RankResult PageRank::solve(const PageRankConfig& config) const {
     result.converged = true;
     return result;
   }
-  WallTimer timer;
+  obs::Scope scope("rank.pagerank.solve");
 
   const std::vector<f64> teleport =
       normalized_distribution(config.teleport, n, "PageRank: teleport");
@@ -61,7 +61,7 @@ RankResult PageRank::solve(const PageRankConfig& config) const {
     if (iter == 0) first_residual = result.residual;
     if (trace)
       trace->on_iteration({iter + 1, result.residual,
-                           linf_distance(cur, next), timer.seconds()});
+                           linf_distance(cur, next), scope.elapsed()});
     cur.swap(next);
     if (result.residual < config.convergence.tolerance) {
       result.converged = true;
@@ -78,7 +78,7 @@ RankResult PageRank::solve(const PageRankConfig& config) const {
   result.scores = std::move(cur);
   SRSR_DEBUG_VALIDATE(
       validate_probability_vector(result.scores, 1e-6, "PageRank output"));
-  result.seconds = timer.seconds();
+  result.seconds = scope.finish();
   result.trace =
       obs::make_trace_summary(result.iterations, first_residual,
                               result.residual);
@@ -86,7 +86,6 @@ RankResult PageRank::solve(const PageRankConfig& config) const {
     auto& reg = obs::MetricsRegistry::instance();
     reg.counter("srsr.rank.pagerank.solves").add();
     reg.counter("srsr.rank.pagerank.iterations").add(result.iterations);
-    reg.histogram("srsr.rank.pagerank.seconds").observe(result.seconds);
   }
   return result;
 }

@@ -4,8 +4,8 @@
 #include <deque>
 
 #include "obs/metrics.hpp"
+#include "obs/scope.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace srsr::rank {
 
@@ -25,7 +25,7 @@ PushResult run_push(NodeId n, const PushConfig& config, std::vector<f64> p,
              "push: epsilon must be positive and finite");
   const f64 alpha = config.alpha;
   PushResult result;
-  WallTimer timer;
+  obs::Scope scope("rank.push.solve");
 
   std::deque<NodeId> queue;
   std::vector<bool> in_queue(n, false);
@@ -53,7 +53,7 @@ PushResult run_push(NodeId n, const PushConfig& config, std::vector<f64> p,
     ++result.pushes;
     if (trace && result.pushes % n == 0)
       trace->on_iteration({++sweeps, std::abs(ru), std::abs(ru),
-                           timer.seconds()});
+                           scope.elapsed()});
     if (!ever_pushed[u]) {
       ever_pushed[u] = true;
       ++result.touched;
@@ -81,7 +81,7 @@ PushResult run_push(NodeId n, const PushConfig& config, std::vector<f64> p,
   }
   if (trace)
     trace->on_iteration({sweeps + 1, result.max_residual, result.max_residual,
-                         timer.seconds()});
+                         scope.elapsed()});
 
   if (residual_out) *residual_out = std::move(r);
 
@@ -100,12 +100,11 @@ PushResult run_push(NodeId n, const PushConfig& config, std::vector<f64> p,
   if (config.normalize)
     SRSR_DEBUG_VALIDATE(
         validate_probability_vector(result.scores, 1e-6, "push output"));
-  result.seconds = timer.seconds();
+  result.seconds = scope.finish();
   if (obs::metrics_enabled()) {
     auto& reg = obs::MetricsRegistry::instance();
     reg.counter("srsr.rank.push.solves").add();
     reg.counter("srsr.rank.push.pushes").add(result.pushes);
-    reg.histogram("srsr.rank.push.seconds").observe(result.seconds);
   }
   return result;
 }

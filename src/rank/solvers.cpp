@@ -1,10 +1,9 @@
 #include "rank/solvers.hpp"
 
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
+#include "obs/scope.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
-#include "util/timer.hpp"
 
 namespace srsr::rank {
 
@@ -22,25 +21,22 @@ RankResult iterate(const TransitionOperator& op, const SolverConfig& config,
                  config.alpha < 1.0,
              "solver: alpha = ", config.alpha, ", must be in [0, 1)");
   const NodeId n = op.num_rows();
-  // Span names must be literals (the ring stores the pointer), so pick
+  // Scope names must be literals (the ring stores the pointer), so pick
   // between the two fixed solver names rather than composing one.
-  obs::Span span(solver_name[0] == 'p' ? "rank.power.solve"
-                                       : "rank.jacobi.solve");
+  obs::Scope scope(solver_name[0] == 'p' ? "rank.power.solve"
+                                         : "rank.jacobi.solve");
   RankResult result;
   if (n == 0) {
     result.converged = true;
     return result;
   }
-  WallTimer timer;
 
   const std::vector<f64> teleport =
-
       normalized_distribution(config.teleport, n, "solver: teleport");
   const std::vector<f64>& deficits = op.deficits();
   const f64 alpha = config.alpha;
 
   std::vector<f64> cur =
-
       normalized_distribution(config.initial, n, "solver: initial");
   std::vector<f64> next(n, 0.0);
   obs::IterationTrace* const trace = config.convergence.trace;
@@ -70,7 +66,7 @@ RankResult iterate(const TransitionOperator& op, const SolverConfig& config,
     if (iter == 0) first_residual = result.residual;
     if (trace)
       trace->on_iteration({iter + 1, result.residual,
-                           linf_distance(cur, next), timer.seconds()});
+                           linf_distance(cur, next), scope.elapsed()});
     cur.swap(next);
     if (result.residual < config.convergence.tolerance) {
       result.converged = true;
@@ -91,7 +87,7 @@ RankResult iterate(const TransitionOperator& op, const SolverConfig& config,
   // O(V); live in debug/sanitizer builds only.
   SRSR_DEBUG_VALIDATE(
       validate_probability_vector(result.scores, 1e-6, "solver output"));
-  result.seconds = timer.seconds();
+  result.seconds = scope.finish();
   result.trace = obs::make_trace_summary(result.iterations, first_residual,
                                          result.residual);
   if (obs::metrics_enabled()) {
@@ -99,7 +95,6 @@ RankResult iterate(const TransitionOperator& op, const SolverConfig& config,
     auto& reg = obs::MetricsRegistry::instance();
     reg.counter(prefix + ".solves").add();
     reg.counter(prefix + ".iterations").add(result.iterations);
-    reg.histogram(prefix + ".seconds").observe(result.seconds);
   }
   return result;
 }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/stage_timer.hpp"
+#include "obs/scope.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 
@@ -158,7 +158,7 @@ void StochasticMatrix::left_multiply(std::span<const f64> x,
 }
 
 StochasticMatrix StochasticMatrix::transpose() const {
-  obs::StageTimer stage("rank.transpose");
+  obs::Scope stage("rank.transpose");
   const NodeId n = num_rows();
   std::vector<u64> offsets(static_cast<std::size_t>(n) + 1, 0);
   std::vector<NodeId> cols(cols_.size());

@@ -8,7 +8,7 @@
 #include "core/kappa.hpp"
 #include "core/spam_proximity.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stage_timer.hpp"
+#include "obs/scope.hpp"
 #include "util/check.hpp"
 #include "util/log.hpp"
 
@@ -203,8 +203,7 @@ void RecomputePipeline::apply_and_publish(const std::vector<Update>& updates) {
   // Parent the worker's span to the request that triggered the run
   // (the first update's submitter; later ones folded into the same
   // publish are its coalesced siblings).
-  obs::Span span("serve.update", updates.front().ctx);
-  obs::StageTimer stage("serve.update");
+  obs::Scope stage("serve.update", updates.front().ctx);
   auto fail = [this](const std::string& why) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -312,8 +311,7 @@ void RecomputePipeline::solve_and_publish(const Update& update) {
   // from the submitter's request span (or roots a fresh trace when the
   // update came from untraced code). Solve-stage spans opened further
   // down this call chain nest under it through the thread cursor.
-  obs::Span span("serve.recompute", update.ctx);
-  obs::StageTimer stage("serve.recompute");
+  obs::Scope stage("serve.recompute", update.ctx);
   auto fail = [this](const std::string& why) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);

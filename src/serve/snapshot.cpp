@@ -5,8 +5,7 @@
 #include <numeric>
 #include <utility>
 
-#include "obs/span.hpp"
-#include "obs/stage_timer.hpp"
+#include "obs/scope.hpp"
 #include "util/check.hpp"
 
 namespace srsr::serve {
@@ -85,8 +84,7 @@ RankSnapshot make_snapshot(const core::SpamResilientSourceRank& model,
                            std::span<const f64> kappa,
                            std::vector<std::string> hosts,
                            const SnapshotBuild& build) {
-  obs::Span span("serve.snapshot_build");
-  obs::StageTimer stage("serve.snapshot_build");
+  obs::Scope stage("serve.snapshot_build");
   const bool warm = !build.warm_start.empty();
   rank::RankResult result =
       warm ? model.rank(kappa, build.warm_start) : model.rank(kappa);

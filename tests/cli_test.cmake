@@ -73,7 +73,9 @@ else()
 endif()
 
 # --trace-out must emit a Perfetto/Chrome trace with the documented span
-# tree: the cli.rank root enclosing the core solve and solver stages.
+# tree: the cli.rank root enclosing the CLI stages (load, model build,
+# solve) and, under them, ingest, the model build, spam proximity and
+# the solver stages.
 set(SPANS "${DIR}/rank_spans.json")
 run_cli(rank --in "${DIR}" --algo srsr --top 3 --trace-out "${SPANS}")
 if(NOT CLI_OUTPUT MATCHES "wrote [0-9]+ spans to")
@@ -86,7 +88,10 @@ file(READ "${SPANS}" spans_json)
 if(NOT spans_json MATCHES "\"traceEvents\":\\[")
   message(FATAL_ERROR "span trace is not Perfetto JSON:\n${spans_json}")
 endif()
-foreach(span cli.rank core.throttle_plan core.solve rank.power.solve)
+foreach(span cli.rank cli.load_crawl cli.build_model cli.solve
+        graph.io.read_url_corpus core.source_graph_build
+        core.spam_proximity core.throttle_plan core.solve
+        rank.pagerank.solve rank.power.solve)
   if(NOT spans_json MATCHES "\"name\":\"${span}\"")
     message(FATAL_ERROR "span trace is missing '${span}':\n${spans_json}")
   endif()

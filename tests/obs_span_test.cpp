@@ -1,6 +1,8 @@
 // Tests for the span tracer (obs/span.hpp): enable/disable gating,
 // same-thread nesting through the thread-local cursor, explicit
-// cross-thread context hand-off, ring wrap-around, and the end-to-end
+// cross-thread context hand-off, ring wrap-around; the obs::Scope
+// stage primitive (obs/scope.hpp): one span + one stage histogram
+// observation + one report stage per scope; and the end-to-end
 // structural contract — a traced RecomputePipeline publish yields a
 // serve.recompute span whose descendants are the solver stages. Runs
 // under the "tsan" ctest label: spans record from the pipeline worker
@@ -17,6 +19,9 @@
 
 #include "core/srsr.hpp"
 #include "graph/webgen.hpp"
+#include "obs/metrics.hpp"
+#include "obs/report.hpp"
+#include "obs/scope.hpp"
 #include "serve/query.hpp"
 #include "serve/recompute.hpp"
 #include "serve/snapshot.hpp"
@@ -35,6 +40,7 @@ class SpanTest : public ::testing::Test {
   }
   void TearDown() override {
     set_tracing_enabled(false);
+    set_metrics_enabled(false);
     clear_spans();
   }
 };
@@ -193,6 +199,91 @@ TEST_F(SpanTest, ClearSpansEmptiesRings) {
   EXPECT_EQ(collect_spans().size(), 1u);
   clear_spans();
   EXPECT_TRUE(collect_spans().empty());
+}
+
+// --- obs::Scope: one primitive, three sinks ---------------------------
+
+u64 histogram_count(const std::string& name) {
+  return MetricsRegistry::instance().histogram(name).count();
+}
+
+TEST_F(SpanTest, ScopeRecordsSpanHistogramAndReportStage) {
+  set_metrics_enabled(true);
+  const u64 before = histogram_count("srsr.test.scope.all.seconds");
+  RunReport report("scope");
+  f64 seconds = -1.0;
+  {
+    Scope scope("test.scope.all", &report);
+    seconds = scope.finish();
+  }
+  EXPECT_GE(seconds, 0.0);
+
+  const auto spans = collect_spans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(std::string(spans[0].name), "test.scope.all");
+  EXPECT_EQ(histogram_count("srsr.test.scope.all.seconds"), before + 1);
+  ASSERT_EQ(report.stages().size(), 1u);
+  EXPECT_EQ(report.stages()[0].stage, "test.scope.all");
+  EXPECT_EQ(report.stages()[0].seconds, seconds);
+}
+
+TEST_F(SpanTest, DisabledScopeStillFeedsItsReport) {
+  set_tracing_enabled(false);
+  set_metrics_enabled(false);
+  const u64 before = histogram_count("srsr.test.scope.off.seconds");
+  RunReport report("scope");
+  { Scope scope("test.scope.off", &report); }
+
+  EXPECT_TRUE(collect_spans().empty());
+  EXPECT_FALSE(current_span_context().valid());
+  EXPECT_EQ(histogram_count("srsr.test.scope.off.seconds"), before);
+  ASSERT_EQ(report.stages().size(), 1u);
+  EXPECT_EQ(report.stages()[0].stage, "test.scope.off");
+}
+
+TEST_F(SpanTest, ScopeFinishIsIdempotent) {
+  set_metrics_enabled(true);
+  const u64 before = histogram_count("srsr.test.scope.once.seconds");
+  RunReport report("scope");
+  {
+    Scope outer("test.scope.outer");
+    Scope scope("test.scope.once", &report);
+    const f64 first = scope.finish();
+    const f64 second = scope.finish();
+    EXPECT_EQ(first, second);
+    // Finishing pops the cursor back to the enclosing scope.
+    const auto spans = collect_spans();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(current_span_context().span_id, spans[0].parent_id);
+  }  // destructor after finish(): no second record
+
+  EXPECT_EQ(collect_spans().size(), 2u);
+  EXPECT_EQ(histogram_count("srsr.test.scope.once.seconds"), before + 1);
+  EXPECT_EQ(report.stages().size(), 1u);
+}
+
+TEST_F(SpanTest, ScopeExplicitParentJoinsTraceFromAnotherThread) {
+  SpanContext handed;
+  {
+    Scope request("test.scope.request");
+    handed = current_span_context();
+    std::thread worker([handed] {
+      Scope work("test.scope.worker", handed);
+      Scope child("test.scope.child");  // nests under `work` (rule 1)
+      (void)child;
+    });
+    worker.join();
+  }
+  const auto spans = collect_spans();
+  ASSERT_EQ(spans.size(), 3u);
+  const auto* request = find_span(spans, "test.scope.request");
+  const auto* work = find_span(spans, "test.scope.worker");
+  const auto* child = find_span(spans, "test.scope.child");
+  ASSERT_TRUE(request && work && child);
+  EXPECT_EQ(work->trace_id, request->trace_id);
+  EXPECT_EQ(work->parent_id, request->span_id);
+  EXPECT_EQ(child->parent_id, work->span_id);
+  EXPECT_NE(work->thread_index, request->thread_index);
 }
 
 // --- end-to-end: the serve pipeline produces the documented tree -----

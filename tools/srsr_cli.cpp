@@ -81,8 +81,7 @@
 #include "obs/expfmt.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/span.hpp"
-#include "obs/stage_timer.hpp"
+#include "obs/scope.hpp"
 #include "obs/trace.hpp"
 #include "rank/pagerank.hpp"
 #include "serve/monitor.hpp"
@@ -221,17 +220,16 @@ int cmd_rank(const Args& args) {
   check(!args.has("trace-out") || !trace_out.empty(),
         "--trace-out needs a file path");
   if (!trace_out.empty()) obs::set_tracing_enabled(true);
-  // Root span of the whole command: the model/solve spans opened deeper
-  // in the library nest under it through the thread-local cursor. A
-  // no-op (one relaxed load) without --trace-out.
-  obs::Span root_span("cli.rank");
+  // Root scope of the whole command: the model/solve scopes opened
+  // deeper in the library nest under it through the thread-local cursor.
+  obs::Scope root("cli.rank");
 
   obs::RunReport report("rank");
   obs::IterationTrace trace;
 
-  obs::StageTimer load_stage("cli.load_crawl", &report);
+  obs::Scope load_stage("cli.load_crawl", &report);
   const auto crawl = load_crawl(in_dir);
-  load_stage.stop();
+  load_stage.finish();
   const auto& corpus = crawl.corpus;
 
   TextTable t({"#", "Host", "Score"});
@@ -241,9 +239,9 @@ int cmd_rank(const Args& args) {
     rank::PageRankConfig cfg;
     cfg.alpha = alpha;
     if (tracing) cfg.convergence.trace = &trace;
-    obs::StageTimer solve_stage("cli.solve", &report);
+    obs::Scope solve_stage("cli.solve", &report);
     result = rank::pagerank(corpus.pages, cfg);
-    solve_stage.stop();
+    solve_stage.finish();
     for (NodeId p = 0; p < corpus.num_pages(); ++p)
       names.push_back(corpus.source_hosts[corpus.page_source[p]] + "/page" +
                       std::to_string(p));
@@ -253,10 +251,10 @@ int cmd_rank(const Args& args) {
     cfg.alpha = alpha;
     cfg.throttle_mode = core::ThrottleMode::kTeleportDiscard;
     if (tracing) cfg.convergence.trace = &trace;
-    obs::StageTimer build_stage("cli.build_model", &report);
+    obs::Scope build_stage("cli.build_model", &report);
     const core::SpamResilientSourceRank model(corpus.pages, map, cfg);
-    build_stage.stop();
-    obs::StageTimer solve_stage("cli.solve", &report);
+    build_stage.finish();
+    obs::Scope solve_stage("cli.solve", &report);
     if (algo == "srsr" && !crawl.spam_seeds.empty()) {
       const u32 top_k = static_cast<u32>(
           args.get_u64("topk", 2 * crawl.spam_seeds.size()));
@@ -264,7 +262,7 @@ int cmd_rank(const Args& args) {
     } else {
       result = model.rank_baseline();
     }
-    solve_stage.stop();
+    solve_stage.finish();
     names = corpus.source_hosts;
   } else {
     std::cerr << "unknown --algo '" << algo << "'\n";
@@ -303,7 +301,7 @@ int cmd_rank(const Args& args) {
     std::cout << "wrote run report to " << trace_path << '\n';
   }
   if (!trace_out.empty()) {
-    root_span.finish();  // close before draining so the root is included
+    root.finish();  // close before draining so the root is included
     const auto spans = obs::collect_spans();
     obs::write_perfetto_trace(trace_out, spans);
     std::cout << "wrote " << spans.size() << " spans to " << trace_out
@@ -378,9 +376,11 @@ int cmd_sweep(const Args& args) {
   check(!args.has("trace-out") || !trace_out.empty(),
         "--trace-out needs a file path");
   if (!trace_out.empty()) obs::set_tracing_enabled(true);
-  obs::Span root_span("cli.sweep");
+  obs::Scope root("cli.sweep");
 
+  obs::Scope load_stage("cli.load_crawl");
   const auto crawl = load_crawl(in_dir);
+  load_stage.finish();
   const auto& corpus = crawl.corpus;
   const core::SourceMap map(corpus.page_source);
   core::SrsrConfig cfg;
@@ -389,9 +389,9 @@ int cmd_sweep(const Args& args) {
                           ? core::ThrottleMode::kSelfAbsorb
                           : core::ThrottleMode::kTeleportDiscard;
 
-  WallTimer build_timer;
+  obs::Scope build_stage("cli.build_model");
   const core::SpamResilientSourceRank model(corpus.pages, map, cfg);
-  const f64 build_seconds = build_timer.seconds();
+  const f64 build_seconds = build_stage.finish();
 
   // Ramp target: the spam-proximate sources when labels exist,
   // otherwise every source.
@@ -424,7 +424,7 @@ int cmd_sweep(const Args& args) {
                         " configs, mode=" + mode_name + ", model built in " +
                         TextTable::fixed(build_seconds, 3) + "s)");
   if (!trace_out.empty()) {
-    root_span.finish();
+    root.finish();
     const auto spans = obs::collect_spans();
     obs::write_perfetto_trace(trace_out, spans);
     std::cout << "wrote " << spans.size() << " spans to " << trace_out
