@@ -37,8 +37,11 @@ stage "dynamic serve end-to-end (srsr_cli serve --dynamic)"
 # The stream subsystem driven exactly as a deployment would: stage
 # page-level link edits over the update protocol, commit, and require
 # the publish to ride the warm DELTA path — a fresh epoch without a
-# full re-solve — with the dynamic counters surfaced in stats.
-DYN_OUT=$(printf 'update status\nupdate link 0 1\nupdate unlink 0 1\nupdate link 2 3\nupdate page crawl-new.example\nupdate commit\nstats\nupdate status\nquit\n' \
+# full re-solve — with the dynamic counters surfaced in stats. A κ
+# rescale then rides the same write path, and the session's trace must
+# account for every serve.update run down to its first layer of stages.
+DYN_TRACE="$SERVE_DIR/dyn_trace.json"
+DYN_OUT=$(printf 'update status\nupdate link 0 1\nupdate unlink 0 1\nupdate link 2 3\nupdate page crawl-new.example\nupdate commit\nstats\nupdate status\nrecompute 0.5\ntracefile %s\nquit\n' "$DYN_TRACE" \
   | ./build/tools/srsr_cli serve --in "$SERVE_DIR" --dynamic)
 echo "$DYN_OUT"
 echo "$DYN_OUT" | grep -q "serve ready: 200 sources, epoch 1.*dynamic" \
@@ -49,8 +52,16 @@ echo "$DYN_OUT" | grep -qE "queue_depth [0-9]+, coalesced_batches [0-9]+, mutati
   || { echo "ci: dynamic serve stats missing stream fields" >&2; exit 1; }
 echo "$DYN_OUT" | grep -qE "^pending 0, pages [0-9]+, sources 20[01], queue_depth 0$" \
   || { echo "ci: dynamic serve update status malformed" >&2; exit 1; }
+echo "$DYN_OUT" | grep -qE "^published epoch 3 \([0-9]+ iterations, converged" \
+  || { echo "ci: dynamic serve recompute did not publish" >&2; exit 1; }
 echo "$DYN_OUT" | grep -q "^bye$" \
   || { echo "ci: dynamic serve did not shut down cleanly" >&2; exit 1; }
+grep -q '"serve.update"' "$DYN_TRACE" \
+  || { echo "ci: dynamic serve trace missing update span" >&2; exit 1; }
+grep -q '"stream.apply"' "$DYN_TRACE" \
+  || { echo "ci: dynamic serve trace missing stream.apply span" >&2; exit 1; }
+python3 tools/lint/check_trace_coverage.py "$DYN_TRACE" --root serve.update --min 0.95 \
+  || { echo "ci: serve.update trace coverage below 95 %" >&2; exit 1; }
 
 stage "prometheus exposition (stats --prometheus | check_expfmt.py)"
 # The exporter's output must be a valid 0.0.4 text exposition: names,
@@ -70,6 +81,8 @@ grep -q '"traceEvents"' "$TRACE_JSON" \
   || { echo "ci: serve tracefile produced no trace events" >&2; exit 1; }
 grep -q '"serve.recompute"' "$TRACE_JSON" \
   || { echo "ci: serve trace missing recompute span" >&2; exit 1; }
+python3 tools/lint/check_trace_coverage.py "$TRACE_JSON" --root serve.recompute --min 0.95 \
+  || { echo "ci: serve.recompute trace coverage below 95 %" >&2; exit 1; }
 
 stage "trace coverage (rank --trace-out | check_trace_coverage.py)"
 # A traced batch rank must account for its wall time: the direct

@@ -4,12 +4,14 @@
 #include <cmath>
 #include <numeric>
 
+#include "obs/scope.hpp"
 #include "util/check.hpp"
 #include "util/stats.hpp"
 
 namespace srsr::core {
 
 std::vector<f64> kappa_top_k(std::span<const f64> proximity, u32 k) {
+  obs::Scope stage("core.kappa_top_k");
   const u32 n = static_cast<u32>(proximity.size());
   SRSR_CHECK(k <= n, "kappa_top_k: k = ", k, " exceeds source count ", n);
   // NaN scores would make the comparator below non-strict-weak and the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "core/kappa.hpp"
@@ -24,6 +25,15 @@ std::vector<std::string> validated_hosts(std::vector<std::string> hosts,
              "RecomputePipeline: ", hosts.size(), " hosts for ",
              num_sources, " sources");
   return hosts;
+}
+
+/// The paper's Sec. 6.2 label policy: spam-proximity walk from the
+/// labelled seeds over `topology`, top_k most proximate sources fully
+/// throttled.
+std::vector<f64> label_kappa(const std::vector<NodeId>& seeds, u32 top_k,
+                             const graph::Graph& topology) {
+  const auto prox = core::spam_proximity(topology, seeds);
+  return core::kappa_top_k(prox.scores, top_k);
 }
 
 }  // namespace
@@ -51,54 +61,34 @@ RecomputePipeline::RecomputePipeline(stream::IncrementalRanker& ranker,
 RecomputePipeline::~RecomputePipeline() { stop(); }
 
 void RecomputePipeline::submit(std::vector<f64> kappa, std::string policy) {
-  Update u;
-  u.kappa = std::move(kappa);
-  u.policy = std::move(policy);
-  u.ctx = obs::current_span_context();
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stop_) return;
-    queue_.push_back(std::move(u));
-    ++stats_.submitted;
-  }
-  wake_.notify_one();
+  enqueue(std::move(kappa), std::move(policy));
 }
 
 void RecomputePipeline::submit_spam_labels(std::vector<NodeId> source_seeds,
                                            u32 top_k) {
-  Update u;
-  u.seeds = std::move(source_seeds);
-  u.top_k = top_k;
-  u.from_seeds = true;
-  u.policy = "top_" + std::to_string(top_k) + "_proximity";
-  u.ctx = obs::current_span_context();
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (stop_) return;
-    queue_.push_back(std::move(u));
-    ++stats_.submitted;
-  }
-  wake_.notify_one();
+  enqueue(Labels{std::move(source_seeds), top_k},
+          "top_" + std::to_string(top_k) + "_proximity");
 }
 
 void RecomputePipeline::submit_update(stream::UpdateBatch batch) {
   SRSR_CHECK(dynamic(),
              "RecomputePipeline::submit_update: pipeline is static — "
              "construct over an IncrementalRanker for topology updates");
-  Update u;
-  u.batch = std::move(batch);
-  u.topology = true;
-  u.policy = "stream_update";
-  u.ctx = obs::current_span_context();
+  enqueue(std::move(batch), "stream_update");
+}
+
+void RecomputePipeline::enqueue(Change change, std::string policy) {
+  Update update{std::move(change), std::move(policy),
+                obs::current_span_context()};
   std::size_t depth = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stop_) return;
-    queue_.push_back(std::move(u));
+    queue_.push_back(std::move(update));
     ++stats_.submitted;
     depth = queue_.size();
   }
-  if (obs::metrics_enabled())
+  if (dynamic() && obs::metrics_enabled())
     obs::MetricsRegistry::instance()
         .gauge("srsr.serve.update.queue_depth")
         .set(static_cast<f64>(depth));
@@ -153,44 +143,27 @@ void RecomputePipeline::report_into(obs::RunReport& report) const {
 
 void RecomputePipeline::worker_loop() {
   for (;;) {
-    Update update;
     std::vector<Update> run;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) break;  // stop_ set and nothing left to solve
-      if (dynamic()) {
-        // Topology deltas are NOT last-wins coalescible — each one
-        // moves the graph. Drain the whole queue in submit order and
-        // fold it into one publish.
-        run.assign(std::make_move_iterator(queue_.begin()),
-                   std::make_move_iterator(queue_.end()));
-        queue_.clear();
-        busy_ = true;
-        const u64 folded = run.size() - 1;
-        stats_.coalesced_batches += folded;
-        if (folded > 0 && obs::metrics_enabled())
-          obs::MetricsRegistry::instance()
-              .counter("srsr.serve.update.coalesced_batches")
-              .add(folded);
-      } else {
-        // Coalesce: only the newest update matters — a recompute is a
-        // full idempotent re-solve, not an incremental delta.
-        const u64 skipped = queue_.size() - 1;
-        stats_.coalesced += skipped;
-        update = std::move(queue_.back());
-        queue_.clear();
-        busy_ = true;
-        if (skipped > 0 && obs::metrics_enabled())
-          obs::MetricsRegistry::instance()
-              .counter("srsr.serve.recompute.coalesced")
-              .add(skipped);
+      run.assign(std::make_move_iterator(queue_.begin()),
+                 std::make_move_iterator(queue_.end()));
+      queue_.clear();
+      busy_ = true;
+      // The whole run becomes one publish; the rest is coalesced.
+      const u64 folded = run.size() - 1;
+      stats_.coalesced += folded;
+      if (dynamic()) stats_.coalesced_batches += folded;
+      if (folded > 0 && obs::metrics_enabled()) {
+        auto& reg = obs::MetricsRegistry::instance();
+        reg.counter("srsr.serve.recompute.coalesced").add(folded);
+        if (dynamic())
+          reg.counter("srsr.serve.update.coalesced_batches").add(folded);
       }
     }
-    if (dynamic())
-      apply_and_publish(run);
-    else
-      solve_and_publish(update);
+    publish_run(run);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       busy_ = false;
@@ -199,87 +172,39 @@ void RecomputePipeline::worker_loop() {
   }
 }
 
-void RecomputePipeline::apply_and_publish(const std::vector<Update>& updates) {
-  // Parent the worker's span to the request that triggered the run
-  // (the first update's submitter; later ones folded into the same
-  // publish are its coalesced siblings).
-  obs::Scope stage("serve.update", updates.front().ctx);
-  auto fail = [this](const std::string& why) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.failed;
-      stats_.last_error = why;
-    }
-    if (obs::metrics_enabled())
-      obs::MetricsRegistry::instance()
-          .counter("srsr.serve.recompute.failed")
-          .add();
-    log_warn("serve: update run failed, keeping epoch ", store_->epoch(),
-             " live: ", why);
-  };
-
-  u64 pushes = 0, dirty_rows = 0, mutations = 0, batches = 0;
-  f64 seconds = 0.0;
-  bool converged = true;
+void RecomputePipeline::publish_run(std::vector<Update>& run) {
+  // Cross-thread hand-off: this span runs on the worker but descends
+  // from the request that triggered the run (the first update's
+  // submitter; later ones folded into the same publish are its
+  // coalesced siblings), or roots a fresh trace when the update came
+  // from untraced code. Stage spans opened further down this call
+  // chain nest under it through the thread cursor.
+  obs::Scope stage(dynamic() ? "serve.update" : "serve.recompute",
+                   run.front().ctx);
   try {
-    // Strictly in submit order: a kappa vector submitted before a
-    // growth batch is sized for the pre-growth id space, and label
-    // updates walk the topology as of their position in the stream.
-    for (const Update& u : updates) {
-      stream::UpdateOutcome outcome;
-      if (u.topology) {
-        outcome = ranker_->apply(u.batch);
-        ++batches;
-      } else if (u.from_seeds) {
-        const auto prox = core::spam_proximity(
-            ranker_->graph().topology(), u.seeds);
-        outcome = ranker_->set_kappa(core::kappa_top_k(prox.scores, u.top_k));
-        applied_policy_ = u.policy;
-      } else {
-        outcome = ranker_->set_kappa(u.kappa);
-        applied_policy_ = u.policy;
-      }
-      pushes += outcome.pushes;
-      dirty_rows += outcome.dirty_rows;
-      mutations += outcome.mutations;
-      seconds += outcome.seconds;
-      converged = converged && outcome.converged;
-    }
-
-    const stream::UpdateOutcome& last = ranker_->last_outcome();
-    if (config_.require_convergence && !converged) {
-      fail("incremental update run did not converge (path " +
-           std::string(stream::to_string(last.path)) + ", " +
-           std::to_string(pushes) + " pushes)");
+    stream::UpdateOutcome total;
+    RankSnapshot snapshot = build_snapshot(run, total);
+    const SnapshotMeta& built = snapshot.meta();
+    if (!built.converged) {
+      fail("solve did not converge after " +
+           std::to_string(built.iterations) +
+           (dynamic() ? " pushes" : " iterations"));
       return;
     }
 
-    SnapshotMeta meta;
-    meta.kappa_policy = applied_policy_;
-    meta.solver = "push";
-    meta.iterations = static_cast<u32>(
-        std::min<u64>(pushes, std::numeric_limits<u32>::max()));
-    meta.residual = last.max_residual;
-    meta.converged = converged;
-    meta.solve_seconds = seconds;
-    f64 kappa_mass = 0.0;
-    for (const f64 k : ranker_->kappa()) kappa_mass += k;
-    meta.kappa_mass = kappa_mass;
-    // Warm = the push state survived the whole run (no cold re-seed).
-    meta.warm_started = last.path == stream::UpdatePath::kDelta;
-
-    RankSnapshot snapshot(ranker_->sigma(), ranker_->graph().hosts(),
-                          std::move(meta));
+    obs::Scope tail("serve.store_publish");
     const u64 epoch = store_->publish(std::move(snapshot));
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.published;
       stats_.last_epoch = epoch;
       stats_.last_error.clear();
-      stats_.mutations_applied += mutations;
-      stats_.last_pushes = pushes;
-      stats_.last_dirty_rows = dirty_rows;
-      stats_.last_path = stream::to_string(last.path);
+      if (dynamic()) {
+        stats_.mutations_applied += total.mutations;
+        stats_.last_pushes = total.pushes;
+        stats_.last_dirty_rows = total.dirty_rows;
+        stats_.last_path = stream::to_string(total.path);
+      }
     }
     if (config_.slo) config_.slo->on_publish();
     if (config_.drift) {
@@ -291,91 +216,106 @@ void RecomputePipeline::apply_and_publish(const std::vector<Update>& updates) {
     if (obs::metrics_enabled()) {
       auto& reg = obs::MetricsRegistry::instance();
       reg.counter("srsr.serve.recompute.published").add();
-      reg.counter("srsr.serve.update.batches").add(batches);
-      reg.counter("srsr.serve.update.mutations").add(mutations);
       reg.gauge("srsr.serve.snapshot.epoch").set(static_cast<f64>(epoch));
-      reg.gauge("srsr.serve.update.last_pushes")
-          .set(static_cast<f64>(pushes));
-      reg.gauge("srsr.serve.update.queue_depth").set(0.0);
+      if (dynamic()) {
+        const auto batches = std::count_if(
+            run.begin(), run.end(), [](const Update& u) {
+              return std::holds_alternative<stream::UpdateBatch>(u.change);
+            });
+        reg.counter("srsr.serve.update.batches").add(static_cast<u64>(batches));
+        reg.counter("srsr.serve.update.mutations").add(total.mutations);
+        reg.gauge("srsr.serve.update.last_pushes")
+            .set(static_cast<f64>(total.pushes));
+        reg.gauge("srsr.serve.update.queue_depth").set(0.0);
+      }
     }
   } catch (const std::exception& e) {
-    // The ranker re-solves itself against whatever the graph holds
-    // before rethrowing, so (graph, sigma) stay consistent; the rest
-    // of this drained run is dropped and the old epoch stays live.
+    // Bad kappa vectors, malformed batches and contract violations
+    // surface here. A throwing ranker re-solves itself against whatever
+    // the graph holds before rethrowing, so (graph, sigma) stay
+    // consistent; the rest of the run is dropped and the old snapshot
+    // stays live.
     fail(e.what());
   }
 }
 
-void RecomputePipeline::solve_and_publish(const Update& update) {
-  // Cross-thread hand-off: this span runs on the worker but descends
-  // from the submitter's request span (or roots a fresh trace when the
-  // update came from untraced code). Solve-stage spans opened further
-  // down this call chain nest under it through the thread cursor.
-  obs::Scope stage("serve.recompute", update.ctx);
-  auto fail = [this](const std::string& why) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.failed;
-      stats_.last_error = why;
-    }
-    if (obs::metrics_enabled())
-      obs::MetricsRegistry::instance()
-          .counter("srsr.serve.recompute.failed")
-          .add();
-    log_warn("serve: recompute failed, keeping epoch ", store_->epoch(),
-             " live: ", why);
-  };
-
-  try {
-    std::vector<f64> kappa;
-    if (update.from_seeds) {
-      const auto prox = core::spam_proximity(
-          model_->source_graph().topology(), update.seeds);
-      kappa = core::kappa_top_k(prox.scores, update.top_k);
-    } else {
-      kappa = update.kappa;
-    }
-
-    SnapshotBuild build;
-    build.policy = update.policy;
+RankSnapshot RecomputePipeline::build_snapshot(std::vector<Update>& run,
+                                               stream::UpdateOutcome& total) {
+  if (!dynamic()) {
+    // Only the newest update matters: a kappa or label update is a
+    // full idempotent re-solve, not an incremental delta.
+    Update& newest = run.back();
+    applied_policy_ = newest.policy;
+    const auto* labels = std::get_if<Labels>(&newest.change);
+    std::vector<f64> kappa =
+        labels ? label_kappa(labels->seeds, labels->top_k,
+                             model_->source_graph().topology())
+               : std::move(std::get<Kappa>(newest.change));
     // Warm start from the live sigma: the next fixed point is close
     // when the policy moved a little, so iterations drop sharply (the
     // ablation_warmstart bench quantifies it). The handle also keeps
     // the old epoch alive until the solve is done.
     const SnapshotPtr live = store_->current();
-    if (config_.warm_start && live) build.warm_start = live->scores();
-
-    RankSnapshot snapshot =
-        make_snapshot(*model_, kappa, hosts_, build);
-    if (config_.require_convergence && !snapshot.meta().converged) {
-      fail("solve did not converge after " +
-           std::to_string(snapshot.meta().iterations) + " iterations");
-      return;
-    }
-    const u64 epoch = store_->publish(std::move(snapshot));
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.published;
-      stats_.last_epoch = epoch;
-      stats_.last_error.clear();
-    }
-    if (config_.slo) config_.slo->on_publish();
-    if (config_.drift) {
-      const DriftReport drift = config_.drift->on_publish(*store_->current());
-      if (drift.anomalous)
-        log_warn("serve: anomalous ranking drift publishing epoch ",
-                 drift.to_epoch, " (", drift.reason, ")");
-    }
-    if (obs::metrics_enabled()) {
-      auto& reg = obs::MetricsRegistry::instance();
-      reg.counter("srsr.serve.recompute.published").add();
-      reg.gauge("srsr.serve.snapshot.epoch").set(static_cast<f64>(epoch));
-    }
-  } catch (const std::exception& e) {
-    // Bad kappa vectors and contract violations surface here; the old
-    // snapshot stays live.
-    fail(e.what());
+    return make_snapshot(*model_, kappa, hosts_,
+                         {applied_policy_, live ? live->scores()
+                                                : std::span<const f64>()});
   }
+
+  // Strictly in submit order: a kappa vector submitted before a growth
+  // batch is sized for the pre-growth id space, and label updates walk
+  // the topology as of their position in the stream.
+  total.converged = true;
+  for (const Update& u : run) {
+    stream::UpdateOutcome outcome;
+    if (const auto* batch = std::get_if<stream::UpdateBatch>(&u.change)) {
+      outcome = ranker_->apply(*batch);
+    } else {
+      const auto* labels = std::get_if<Labels>(&u.change);
+      outcome = labels ? ranker_->set_kappa(label_kappa(
+                             labels->seeds, labels->top_k,
+                             ranker_->graph().topology()))
+                       : ranker_->set_kappa(std::get<Kappa>(u.change));
+      applied_policy_ = u.policy;
+    }
+    total.pushes += outcome.pushes;
+    total.dirty_rows += outcome.dirty_rows;
+    total.mutations += outcome.mutations;
+    total.seconds += outcome.seconds;
+    total.converged = total.converged && outcome.converged;
+  }
+  const stream::UpdateOutcome& last = ranker_->last_outcome();
+  total.path = last.path;
+
+  obs::Scope stage("serve.snapshot_build");
+  SnapshotMeta meta;
+  meta.kappa_policy = applied_policy_;
+  meta.solver = "push";
+  meta.iterations = static_cast<u32>(
+      std::min<u64>(total.pushes, std::numeric_limits<u32>::max()));
+  meta.residual = last.max_residual;
+  meta.converged = total.converged;
+  meta.solve_seconds = total.seconds;
+  f64 kappa_mass = 0.0;
+  for (const f64 k : ranker_->kappa()) kappa_mass += k;
+  meta.kappa_mass = kappa_mass;
+  // Warm = the push state survived the whole run (no cold re-seed).
+  meta.warm_started = last.path == stream::UpdatePath::kDelta;
+  return RankSnapshot(ranker_->sigma(), ranker_->graph().hosts(),
+                      std::move(meta));
+}
+
+void RecomputePipeline::fail(const std::string& why) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    ++stats_.failed;
+    stats_.last_error = why;
+  }
+  if (obs::metrics_enabled())
+    obs::MetricsRegistry::instance()
+        .counter("srsr.serve.recompute.failed")
+        .add();
+  log_warn("serve: ", dynamic() ? "update run" : "recompute",
+           " failed, keeping epoch ", store_->epoch(), " live: ", why);
 }
 
 }  // namespace srsr::serve

@@ -1,32 +1,37 @@
 // RecomputePipeline — the background write path of the serving layer.
 //
-// Watches a queue of ranking updates (a new kappa vector, or a new set
-// of spam labels to derive one from), re-solves through the model's
-// lazy ThrottledView warm-started from the live snapshot's sigma, and
-// publishes the result atomically through the SnapshotStore. The query
-// path never blocks: readers keep serving the previous epoch for the
-// whole solve, and a failed solve (invalid kappa, or non-convergence
-// when required) publishes nothing — the old snapshot stays live and
-// the failure is counted, kept as last_error, and surfaced through
-// report_into() / the metrics registry (graceful degradation).
+// Watches a queue of ranking updates and publishes every result
+// atomically through the SnapshotStore. The query path never blocks:
+// readers keep serving the previous epoch for the whole solve.
 //
-// Updates coalesce: if several arrive while a solve is in flight, only
-// the newest is solved and the rest are counted as coalesced — ranking
-// updates are idempotent full recomputes, so intermediate states carry
-// no information.
+// One worker loop serves both modes. It takes the whole queue as one
+// run, turns the run into a RankSnapshot (the only mode-specific step,
+// build_snapshot()), and publishes it through one tail: store publish,
+// Stats, SLO stamp, drift check, metrics. A run that throws or whose
+// solve did not converge publishes nothing — the old snapshot stays
+// live and the failure is counted, kept as last_error, and surfaced
+// through report_into() / the metrics registry (graceful degradation).
+// Every update folded into another's publish, or dropped by stop(), is
+// counted as coalesced, so `published + failed + coalesced ==
+// submitted` after drain() in both modes.
 //
-// DYNAMIC MODE (the second constructor): instead of a static model the
-// pipeline owns write access to a stream::IncrementalRanker. Committed
-// stream::UpdateBatch topology deltas are enqueued with
-// submit_update(); the worker drains the WHOLE queue in submit order —
-// topology batches are NOT last-wins coalescible (each moves the graph)
-// — applies every update (kappa changes route through set_kappa, label
-// updates walk the ranker's current topology), and folds the drained
-// run into ONE publish (the fold is counted in coalesced_batches).
-// Every publish is warm: the ranker carries its push state across
-// batches, so a single-host edit republishes after a localized push
-// instead of a full solve. A failed run keeps the old epoch live, like
-// the static path.
+// STATIC MODE (the first constructor): updates are a new kappa vector,
+// or a new set of spam labels to derive one from. Only the newest
+// update of a run is solved — these are idempotent full recomputes, so
+// intermediate states carry no information. The solve runs through the
+// model's lazy ThrottledView, warm-started from the live snapshot's
+// sigma when one exists.
+//
+// DYNAMIC MODE (the second constructor): the pipeline owns write
+// access to a stream::IncrementalRanker, and submit_update() also
+// accepts committed stream::UpdateBatch topology deltas. Every update
+// of a run is applied through the ranker in submit order — topology
+// batches are NOT last-wins coalescible (each moves the graph); kappa
+// changes route through set_kappa, label updates walk the ranker's
+// current topology — and the run folds into ONE publish (the fold is
+// also counted in coalesced_batches). The ranker carries its push
+// state across batches, so a single-host edit republishes after a
+// localized push instead of a full solve.
 //
 // One worker thread, started in the constructor, joined in stop() /
 // the destructor. This and util/parallel.hpp are the only places in
@@ -39,6 +44,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "obs/report.hpp"
@@ -53,13 +59,6 @@
 namespace srsr::serve {
 
 struct RecomputeConfig {
-  /// Warm-start each solve from the live snapshot's sigma. Off =
-  /// every publish is cold and bitwise-reproducible against a direct
-  /// model.rank() call.
-  bool warm_start = true;
-  /// Treat a solve that hits max_iterations without converging as a
-  /// failure (no publish) instead of serving a half-converged vector.
-  bool require_convergence = true;
   /// Optional watchdogs (must outlive the pipeline). `slo` is stamped
   /// on every publish; `drift` sees every published snapshot and
   /// judges it against its predecessor.
@@ -90,7 +89,7 @@ class RecomputePipeline {
   void submit(std::vector<f64> kappa, std::string policy = "custom");
 
   /// Enqueues a label update: the worker runs the spam-proximity walk
-  /// from `source_seeds` over the model's source topology and fully
+  /// from `source_seeds` over the current source topology and fully
   /// throttles the top_k most proximate sources (the paper's Sec. 6.2
   /// policy).
   void submit_spam_labels(std::vector<NodeId> source_seeds, u32 top_k);
@@ -103,8 +102,8 @@ class RecomputePipeline {
   /// Blocks until the queue is empty and no solve is in flight.
   void drain();
 
-  /// Stops the worker after the update it is currently solving (the
-  /// rest of the queue is dropped and counted as coalesced). Idempotent;
+  /// Stops the worker after the run it is currently solving (the rest
+  /// of the queue is dropped and counted as coalesced). Idempotent;
   /// also called by the destructor.
   void stop();
 
@@ -117,8 +116,8 @@ class RecomputePipeline {
     std::string last_error;    // empty = no failure so far
     /// Updates waiting in the queue right now (sampled by stats()).
     u64 queue_depth = 0;
-    /// Dynamic mode: updates folded into a shared publish (the drained
-    /// run minus the one publish it produced).
+    /// Dynamic mode: the part of `coalesced` folded into a shared
+    /// publish (the drained run minus the one publish it produced).
     u64 coalesced_batches = 0;
     /// Dynamic mode: page mutations that changed graph state, total.
     u64 mutations_applied = 0;
@@ -138,33 +137,40 @@ class RecomputePipeline {
   bool dynamic() const { return ranker_ != nullptr; }
 
  private:
-  struct Update {
-    std::vector<f64> kappa;        // direct kappa update
-    std::vector<NodeId> seeds;     // label update (kappa derived)
+  using Kappa = std::vector<f64>;
+  struct Labels {
+    std::vector<NodeId> seeds;
     u32 top_k = 0;
-    bool from_seeds = false;
-    stream::UpdateBatch batch;     // dynamic mode: topology delta
-    bool topology = false;
+  };
+  using Change = std::variant<Kappa, Labels, stream::UpdateBatch>;
+  struct Update {
+    Change change;
     std::string policy;
     /// Submitter's span context, captured at submit() time — the
-    /// explicit hand-off that parents the worker's recompute span to
-    /// the request that triggered it (obs/span.hpp rule 2).
+    /// explicit hand-off that parents the worker's span to the request
+    /// that triggered it (obs/span.hpp rule 2).
     obs::SpanContext ctx;
   };
 
+  /// Queues an update unless the pipeline is stopping.
+  void enqueue(Change change, std::string policy);
   void worker_loop();
-  void solve_and_publish(const Update& update);
-  /// Dynamic worker: applies a drained run of updates in order through
-  /// the ranker, then publishes once.
-  void apply_and_publish(const std::vector<Update>& updates);
+  /// Builds and publishes one drained run, or counts it as failed.
+  void publish_run(std::vector<Update>& run);
+  /// The one mode branch: solves the run's newest update (static) or
+  /// applies every update in order through the ranker (dynamic).
+  /// `total` receives the dynamic run's summed ranker footprint.
+  RankSnapshot build_snapshot(std::vector<Update>& run,
+                              stream::UpdateOutcome& total);
+  void fail(const std::string& why);
 
   const core::SpamResilientSourceRank* model_;  // null in dynamic mode
   stream::IncrementalRanker* ranker_ = nullptr;  // null in static mode
   std::vector<std::string> hosts_;
   SnapshotStore* store_;
   RecomputeConfig config_;
-  /// Dynamic mode, worker only: policy label of the last kappa-bearing
-  /// update, stamped into every publish's meta.
+  /// Worker only: policy label of the last kappa-bearing update,
+  /// stamped into every publish's meta.
   std::string applied_policy_ = "uniform_zero";
 
   mutable std::mutex mutex_;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "graph/builder.hpp"
+#include "obs/scope.hpp"
 #include "util/check.hpp"
 
 namespace srsr::stream {
@@ -248,6 +249,7 @@ rank::StochasticMatrix DynamicSourceGraph::materialize() const {
 }
 
 graph::Graph DynamicSourceGraph::topology() const {
+  obs::Scope stage("stream.topology");
   const u32 ns = num_sources();
   graph::GraphBuilder builder(ns);
   std::vector<NodeId> targets_scratch;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <utility>
 
+#include "obs/scope.hpp"
 #include "rank/operator.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -210,7 +211,7 @@ UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
 }
 
 UpdateOutcome IncrementalRanker::apply(const UpdateBatch& batch) {
-  WallTimer timer;
+  obs::Scope stage("stream.apply");
   if (batch.sequence != 0) {
     SRSR_CHECK(batch.sequence > last_sequence_,
                "IncrementalRanker: batch sequence ", batch.sequence,
@@ -230,7 +231,7 @@ UpdateOutcome IncrementalRanker::apply(const UpdateBatch& batch) {
         core::make_throttle_plan(graph_->row_stats(), kappa_, config_.mode);
     seed_cold();
     UpdateOutcome outcome = solve(UpdateOutcome{});
-    outcome.seconds = timer.seconds();
+    outcome.seconds = stage.elapsed();
     last_outcome_ = outcome;
     throw;
   }
@@ -260,13 +261,13 @@ UpdateOutcome IncrementalRanker::apply(const UpdateBatch& batch) {
                plan_, 1.0);
 
   outcome = solve(std::move(outcome));
-  outcome.seconds = timer.seconds();
+  outcome.seconds = stage.elapsed();
   last_outcome_ = outcome;
   return outcome;
 }
 
 UpdateOutcome IncrementalRanker::set_kappa(std::span<const f64> kappa) {
-  WallTimer timer;
+  obs::Scope stage("stream.set_kappa");
   SRSR_CHECK(kappa.size() == num_sources(), "IncrementalRanker::set_kappa: ",
              kappa.size(), " entries for ", num_sources(), " sources");
   validate_kappa(kappa);
@@ -290,7 +291,7 @@ UpdateOutcome IncrementalRanker::set_kappa(std::span<const f64> kappa) {
   plan_ = std::move(next);
 
   outcome = solve(std::move(outcome));
-  outcome.seconds = timer.seconds();
+  outcome.seconds = stage.elapsed();
   last_outcome_ = outcome;
   return outcome;
 }

@@ -154,17 +154,6 @@ TEST(RecomputePipeline, NonConvergenceIsFailureOnlyWhenRequired) {
     EXPECT_NE(strict.stats().last_error.find("converge"), std::string::npos);
     EXPECT_EQ(fx.store.current(), nullptr);  // nothing ever published
   }
-
-  RecomputeConfig lenient;
-  lenient.require_convergence = false;
-  RecomputePipeline loose(fx.model, fx.corpus.source_hosts, fx.store,
-                          lenient);
-  loose.submit(fx.ring_kappa(0.5));
-  loose.drain();
-  EXPECT_EQ(loose.stats().published, 1u);
-  const SnapshotPtr snap = fx.store.current();
-  ASSERT_NE(snap, nullptr);
-  EXPECT_FALSE(snap->meta().converged);
 }
 
 TEST(RecomputePipeline, SpamLabelsDeriveAndPublishKappaPolicy) {

@@ -109,6 +109,35 @@ TEST(DynamicRecompute, DrainedRunsFoldIntoOnePublish) {
   EXPECT_EQ(fx.store.current()->meta().epoch, st.last_epoch);
 }
 
+TEST(DynamicRecompute, AccountingInvariantHoldsUnderFolding) {
+  Fixture fx;
+  RecomputePipeline pipeline(fx.ranker, fx.store);
+  std::vector<f64> kappa(fx.ranker.num_sources(), 0.0);
+  for (const NodeId s : fx.corpus.spam_sources()) kappa[s] = 0.5;
+
+  // Flood without draining: the worker folds whatever piled up behind
+  // the run in flight (how much depends on scheduling), and every
+  // submitted update must be accounted for exactly once.
+  constexpr u32 kUpdates = 64;
+  for (u32 i = 0; i < kUpdates; ++i) {
+    if (i == kUpdates / 2)
+      pipeline.submit_spam_labels(fx.corpus.spam_sources(), 8);
+    else if (i % 3 == 2)
+      pipeline.submit(kappa, "ring_test");
+    else
+      pipeline.submit_update(fx.link_batch(i));
+  }
+  pipeline.drain();
+
+  const auto st = pipeline.stats();
+  EXPECT_EQ(st.submitted, kUpdates);
+  EXPECT_EQ(st.failed, 0u) << st.last_error;
+  EXPECT_GE(st.published, 1u);
+  EXPECT_EQ(st.published + st.failed + st.coalesced, st.submitted);
+  EXPECT_GE(st.coalesced, st.coalesced_batches);
+  EXPECT_EQ(fx.store.current()->meta().epoch, st.last_epoch);
+}
+
 TEST(DynamicRecompute, KappaAndTopologyUpdatesApplyInOrder) {
   Fixture fx;
   RecomputePipeline pipeline(fx.ranker, fx.store);
