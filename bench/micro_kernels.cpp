@@ -19,7 +19,9 @@
 #include "core/source_graph.hpp"
 #include "core/srsr.hpp"
 #include "core/throttle.hpp"
+#include "graph/builder.hpp"
 #include "graph/compressed.hpp"
+#include "graph/io.hpp"
 #include "graph/scc.hpp"
 #include "graph/transforms.hpp"
 #include "graph/webgen.hpp"
@@ -29,6 +31,8 @@
 #include "rank/push.hpp"
 #include "rank/solvers.hpp"
 #include "search/engine.hpp"
+#include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 // Allocation counter for the kappa-sweep benchmarks: every operator new
 // in the process is tallied so a benchmark can assert (via counters in
@@ -425,6 +429,89 @@ void BM_SccDecomposition(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SccDecomposition)->Unit(benchmark::kMillisecond);
+
+// ---- Ingest cutoffs (DESIGN.md §16). Each case runs at 1 thread and at
+// num_threads() (second argument 0); below kCsrParallelCutoff edges and
+// kIngestParallelCutoff bytes both are serial by design, so the columns
+// show where the parallel path starts to pay.
+
+/// Sets the OpenMP thread count for one benchmark (0 = leave it).
+class ThreadCount {
+ public:
+  explicit ThreadCount(i64 threads) {
+#if defined(SRSR_HAVE_OPENMP)
+    if (threads > 0) omp_set_num_threads(static_cast<int>(threads));
+#endif
+    (void)threads;
+  }
+  ~ThreadCount() {
+#if defined(SRSR_HAVE_OPENMP)
+    omp_set_num_threads(saved_);
+#endif
+  }
+  ThreadCount(const ThreadCount&) = delete;
+  ThreadCount& operator=(const ThreadCount&) = delete;
+
+ private:
+#if defined(SRSR_HAVE_OPENMP)
+  int saved_ = omp_get_max_threads();
+#endif
+};
+
+/// `m` random edges over m / 8 nodes in 4 parts, as the edge reader hands
+/// them over; about 1 in 9 is a duplicate.
+std::vector<std::vector<graph::Edge>> random_edge_parts(u64 m) {
+  Pcg32 rng(4242);
+  const auto n = static_cast<u32>(std::max<u64>(m / 8, 1));
+  std::vector<std::vector<graph::Edge>> parts(4);
+  for (u64 i = 0; i < m; ++i)
+    parts[i * 4 / m].emplace_back(rng.next_below(n), rng.next_below(n));
+  return parts;
+}
+
+void BM_AssembleCsr(benchmark::State& state) {
+  const auto m = static_cast<u64>(state.range(0));
+  const ThreadCount threads(state.range(1));
+  const auto input = random_edge_parts(m);
+  const auto n = static_cast<NodeId>(std::max<u64>(m / 8, 1));
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto parts = input;
+    state.ResumeTiming();
+    const auto csr = graph::assemble_csr(n, std::move(parts));
+    benchmark::DoNotOptimize(csr.graph.targets().data());
+  }
+  state.counters["threads"] = num_threads();
+  state.counters["edges/s"] = benchmark::Counter(
+      static_cast<double>(m), benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_AssembleCsr)
+    ->ArgsProduct({{1 << 12, 1 << 15, 1 << 18, 1 << 21}, {1, 0}})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ReadEdgeList(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  const ThreadCount threads(state.range(1));
+  // About 12 bytes per line and 8 edges per node, as in a crawl.
+  const auto n = static_cast<u32>(std::max<std::size_t>(bytes / 96, 1));
+  Pcg32 rng(77);
+  std::string text;
+  while (text.size() < bytes)
+    text += std::to_string(rng.next_below(n)) + ' ' +
+            std::to_string(rng.next_below(n)) + '\n';
+  for (auto _ : state) {
+    std::istringstream in(text);
+    const graph::Graph g = graph::read_edge_list(in);
+    benchmark::DoNotOptimize(g.targets().data());
+  }
+  state.counters["threads"] = num_threads();
+  state.counters["MB/s"] = benchmark::Counter(
+      static_cast<double>(text.size()) / 1e6,
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_ReadEdgeList)
+    ->ArgsProduct({{1 << 16, 1 << 18, 1 << 20, 1 << 23}, {1, 0}})
+    ->Unit(benchmark::kMillisecond);
 
 /// Console reporter that additionally collects every run into a
 /// RunReport table, written as bench_out/BENCH_micro_kernels.json.

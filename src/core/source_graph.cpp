@@ -1,8 +1,10 @@
 #include "core/source_graph.hpp"
 
-#include "util/check.hpp"
-
 #include <algorithm>
+
+#include "graph/builder.hpp"
+#include "util/check.hpp"
+#include "util/parallel.hpp"
 
 namespace srsr::core {
 
@@ -14,56 +16,51 @@ SourceGraph::SourceGraph(const graph::Graph& pages, const SourceMap& map)
 
   // Per page: the set of distinct target sources (a page linking to
   // three pages of s_j still contributes 1 to w(s_i, s_j) — the
-  // indicator-OR in the paper's consensus formula). We accumulate
-  // (origin source, target source) pairs and counting-sort them into a
-  // CSR-with-counts.
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  pairs.reserve(pages.num_edges() / 2 + 16);
-  std::vector<NodeId> targets_scratch;
-  for (NodeId p = 0; p < pages.num_nodes(); ++p) {
-    const NodeId sp = map.source_of(p);
-    targets_scratch.clear();
-    for (const NodeId q : pages.out_neighbors(p))
-      targets_scratch.push_back(map.source_of(q));
-    std::sort(targets_scratch.begin(), targets_scratch.end());
-    targets_scratch.erase(
-        std::unique(targets_scratch.begin(), targets_scratch.end()),
-        targets_scratch.end());
-    for (const NodeId sq : targets_scratch) pairs.emplace_back(sp, sq);
-  }
-
-  // Counting sort by origin source.
-  std::vector<u64> offsets(static_cast<std::size_t>(ns) + 1, 0);
-  for (const auto& [si, sj] : pairs) {
-    (void)sj;
-    ++offsets[si + 1];
-  }
-  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-  std::vector<NodeId> raw_targets(pairs.size());
-  std::vector<u64> cursor(offsets.begin(), offsets.end() - 1);
-  for (const auto& [si, sj] : pairs) raw_targets[cursor[si]++] = sj;
-  pairs.clear();
-  pairs.shrink_to_fit();
-
-  // Per-origin sort, then collapse duplicates into consensus counts.
-  std::vector<u64> out_offsets(offsets.size(), 0);
-  std::vector<NodeId> out_targets;
-  out_targets.reserve(raw_targets.size());
-  consensus_.reserve(raw_targets.size());
-  for (u32 s = 0; s < ns; ++s) {
-    const u64 begin = offsets[s], end = offsets[s + 1];
-    std::sort(raw_targets.begin() + static_cast<std::ptrdiff_t>(begin),
-              raw_targets.begin() + static_cast<std::ptrdiff_t>(end));
-    for (u64 i = begin; i < end;) {
-      u64 j = i;
-      while (j < end && raw_targets[j] == raw_targets[i]) ++j;
-      out_targets.push_back(raw_targets[i]);
-      consensus_.push_back(static_cast<u32>(j - i));
-      i = j;
+  // indicator-OR in the paper's consensus formula). Each task derives
+  // the (origin source, target source) pairs of a run of pages with
+  // about equal link counts; assembling them with multiplicities yields
+  // the topology and, as each entry's multiplicity, its consensus count.
+  const u64 links = pages.num_edges();
+  const std::size_t tasks = task_count(links, graph::kCsrParallelCutoff);
+  const auto first_page = [&](std::size_t t) -> NodeId {
+    if (t == tasks) return pages.num_nodes();
+    const auto& offsets = pages.offsets();
+    return static_cast<NodeId>(
+        std::lower_bound(offsets.begin(), offsets.end() - 1,
+                         split_point(links, tasks, t)) -
+        offsets.begin());
+  };
+  // Ids are in range by construction (Graph targets < num_nodes, checked
+  // equal to the map's page count above), so the loop reads the map
+  // directly instead of through the checked source_of.
+  const std::vector<NodeId>& source = map.page_source();
+  // A page adds at most one pair per link, so each task's buffer is
+  // reserved for its links here, on the calling thread: the tasks never
+  // grow it, and the untouched tail is address space, not memory.
+  std::vector<std::vector<graph::Edge>> parts(tasks);
+  for (std::size_t t = 0; t < tasks; ++t)
+    parts[t].reserve(pages.offsets()[first_page(t + 1)] -
+                     pages.offsets()[first_page(t)]);
+  parallel_for(0, tasks, [&](std::size_t t) {
+    const NodeId lo = first_page(t), hi = first_page(t + 1);
+    // A local handle, so the tasks' appends share no cache line.
+    std::vector<graph::Edge> pairs = std::move(parts[t]);
+    std::vector<NodeId> targets;
+    for (NodeId p = lo; p < hi; ++p) {
+      targets.clear();
+      for (const NodeId q : pages.out_neighbors(p))
+        targets.push_back(source[q]);
+      std::sort(targets.begin(), targets.end());
+      targets.erase(std::unique(targets.begin(), targets.end()),
+                    targets.end());
+      for (const NodeId sq : targets) pairs.emplace_back(source[p], sq);
     }
-    out_offsets[s + 1] = out_targets.size();
-  }
-  topology_ = graph::Graph(std::move(out_offsets), std::move(out_targets));
+    parts[t] = std::move(pairs);
+  });
+  graph::CsrAssembly csr =
+      graph::assemble_csr(ns, std::move(parts), /*count_multiplicity=*/true);
+  topology_ = std::move(csr.graph);
+  consensus_ = std::move(csr.multiplicity);
 }
 
 u32 SourceGraph::consensus(NodeId si, NodeId sj) const {

@@ -39,7 +39,10 @@ namespace srsr::core {
 class SourceGraph {
  public:
   /// Builds topology + consensus counts in O(pages + page-edges) plus
-  /// per-page target dedup.
+  /// per-page target dedup: runs of pages derive their (source, target
+  /// source) pairs in parallel, and graph::assemble_csr folds them into
+  /// the topology with each entry's multiplicity as its consensus count.
+  /// The result does not depend on the thread count.
   SourceGraph(const graph::Graph& pages, const SourceMap& map);
 
   u32 num_sources() const { return map_->num_sources(); }

@@ -12,6 +12,7 @@
 //      exactly the paper's source-assignment procedure (Sec. 6.1).
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -25,9 +26,18 @@ namespace srsr::graph {
 void write_edge_list(std::ostream& out, const Graph& g);
 void write_edge_list_file(const std::string& path, const Graph& g);
 
+/// Text ingest reads a stream in windows of up to num_threads() chunks
+/// of about kIngestChunkBytes, cut at newlines, and parses the chunks of
+/// a window in parallel; a window under kIngestParallelCutoff bytes is
+/// one chunk, parsed inline with no OpenMP region. Results and error
+/// messages do not depend on the thread count (DESIGN.md §16).
+inline constexpr std::size_t kIngestChunkBytes = std::size_t{2} << 20;
+inline constexpr std::size_t kIngestParallelCutoff = std::size_t{64} << 10;
+
 /// Reads an edge list; node count is max id + 1 unless `num_nodes`
 /// overrides it (0 = infer). Lines starting with '#' are skipped.
-/// Malformed lines throw srsr::Error with the offending line number.
+/// Malformed lines throw srsr::Error with the offending line number; of
+/// several, the first in the file.
 Graph read_edge_list(std::istream& in, NodeId num_nodes = 0);
 Graph read_edge_list_file(const std::string& path, NodeId num_nodes = 0);
 

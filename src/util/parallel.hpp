@@ -1,10 +1,12 @@
 // Thin shared-memory parallel-for layer over OpenMP.
 //
-// Rank kernels are memory-bound sparse matrix–vector products; the only
-// parallel constructs the library needs are a static-partitioned parallel
-// for and a parallel sum reduction. Wrapping them here keeps OpenMP
-// pragmas out of algorithm code and gives a serial fallback when the
-// toolchain lacks OpenMP (SRSR_HAVE_OPENMP is set by the build).
+// Rank kernels are memory-bound sparse matrix–vector products, and
+// ingest cuts its input into a few independent tasks; the only parallel
+// constructs the library needs are a static-partitioned parallel for and
+// a sum reduction whose result does not depend on the thread count.
+// Wrapping them here keeps OpenMP pragmas out of algorithm code and gives
+// a serial fallback when the toolchain lacks OpenMP (SRSR_HAVE_OPENMP is
+// set by the build).
 #pragma once
 
 #include <algorithm>
@@ -28,10 +30,31 @@ inline int num_threads() {
 #endif
 }
 
+/// Number of tasks for a pass over `work` items: one below `cutoff`
+/// (parallel_for then runs it inline, with no OpenMP region), the team
+/// size at or above it. Cutoffs are measured per kernel in
+/// bench/micro_kernels.
+inline std::size_t task_count(u64 work, u64 cutoff) {
+  return work < cutoff ? 1 : static_cast<std::size_t>(num_threads());
+}
+
+/// Start of part `i` when [0, n) is cut into `parts` runs whose sizes
+/// differ by at most one: floor(n * i / parts), without overflow.
+inline u64 split_point(u64 n, std::size_t parts, std::size_t i) {
+  return n / parts * i + n % parts * i / parts;
+}
+
 /// Applies fn(i) for i in [begin, end) with static scheduling. fn must be
-/// safe to invoke concurrently for distinct i.
+/// safe to invoke concurrently for distinct i. A range of at most one
+/// index runs inline on the calling thread, with no OpenMP region, so a
+/// caller that sizes its task count to its input opens no team for small
+/// inputs.
 template <typename Fn>
 void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
+  if (end <= begin + 1) {
+    if (begin < end) fn(begin);
+    return;
+  }
 #if defined(SRSR_HAVE_OPENMP)
 #pragma omp parallel for schedule(static)
   for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(begin);
@@ -41,30 +64,6 @@ void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
 #else
   for (std::size_t i = begin; i < end; ++i) fn(i);
 #endif
-}
-
-/// Parallel sum-reduction of fn(i) over [begin, end).
-///
-/// FAST but only run-to-run deterministic for a FIXED thread count:
-/// OpenMP's reduction combines per-thread partials in an order that
-/// depends on how many threads the runtime launched, so the same input
-/// can produce last-ulp-different sums on different machines (or under
-/// OMP_NUM_THREADS overrides). Use parallel_sum_deterministic wherever
-/// the result feeds a reproducibility contract (solver residuals,
-/// traces, convergence decisions).
-template <typename Fn>
-f64 parallel_sum(std::size_t begin, std::size_t end, Fn&& fn) {
-  f64 total = 0.0;
-#if defined(SRSR_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(begin);
-       i < static_cast<std::ptrdiff_t>(end); ++i) {
-    total += fn(static_cast<std::size_t>(i));
-  }
-#else
-  for (std::size_t i = begin; i < end; ++i) total += fn(i);
-#endif
-  return total;
 }
 
 /// Chunk width of the deterministic reduction. Fixed (never derived

@@ -89,7 +89,8 @@ if(NOT spans_json MATCHES "\"traceEvents\":\\[")
   message(FATAL_ERROR "span trace is not Perfetto JSON:\n${spans_json}")
 endif()
 foreach(span cli.rank cli.load_crawl cli.build_model cli.solve
-        graph.io.read_url_corpus core.source_graph_build
+        graph.io.read_url_corpus graph.io.pages graph.io.edges
+        graph.csr_build core.source_graph_build
         core.spam_proximity core.throttle_plan core.solve
         rank.pagerank.solve rank.power.solve)
   if(NOT spans_json MATCHES "\"name\":\"${span}\"")

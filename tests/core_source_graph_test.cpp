@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "graph/builder.hpp"
 #include "graph/webgen.hpp"
+#include "thread_counts.hpp"
 
 namespace srsr::core {
 namespace {
@@ -175,6 +181,43 @@ TEST(SourceGraph, WebCorpusConsensusRowsAreStochastic) {
       if (with_self) EXPECT_TRUE(m.dangling_rows().empty());
     }
   }
+}
+
+TEST(SourceGraph, EqualAtEveryThreadCountToANaiveCount) {
+  // Above the CSR cutoff, so page runs are derived on several threads.
+  graph::WebGenConfig cfg;
+  cfg.num_sources = 1500;
+  cfg.num_spam_sources = 30;
+  cfg.seed = 5;
+  const auto corpus = graph::generate_web_corpus(cfg);
+  ASSERT_GT(corpus.pages.num_edges(), graph::kCsrParallelCutoff);
+  const SourceMap map = SourceMap::from_corpus(corpus);
+
+  // w(s_i, s_j) = pages of s_i linking to some page of s_j, by brute force.
+  std::map<std::pair<NodeId, NodeId>, u32> weight;
+  for (NodeId p = 0; p < corpus.num_pages(); ++p) {
+    std::set<NodeId> targets;
+    for (const NodeId q : corpus.pages.out_neighbors(p))
+      targets.insert(map.source_of(q));
+    for (const NodeId t : targets) ++weight[{map.source_of(p), t}];
+  }
+  std::vector<u64> offsets(map.num_sources() + 1, 0);
+  std::vector<NodeId> targets;
+  std::vector<u32> counts;
+  for (const auto& [edge, w] : weight) {
+    ++offsets[edge.first + 1];
+    targets.push_back(edge.second);
+    counts.push_back(w);
+  }
+  for (std::size_t s = 0; s < map.num_sources(); ++s)
+    offsets[s + 1] += offsets[s];
+  const graph::Graph topology(std::move(offsets), std::move(targets));
+
+  at_thread_counts([&] {
+    const SourceGraph sg(corpus.pages, map);
+    EXPECT_EQ(sg.topology(), topology);
+    EXPECT_EQ(sg.consensus_counts(), counts);
+  });
 }
 
 }  // namespace

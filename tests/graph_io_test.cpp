@@ -18,6 +18,7 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/webgen.hpp"
+#include "thread_counts.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -611,6 +612,162 @@ TEST(IngestMutation, ReadersRejectOrAgreeOnMutatedCrawls) {
   // Both outcomes must be exercised, or the budget tests nothing.
   EXPECT_GT(accepted, kIterations / 20);
   EXPECT_LT(accepted, kIterations - kIterations / 20);
+}
+
+// --- Parallel ingest: the result and the reported error do not depend on
+// the thread count. Inputs are several MiB, so every thread count reads
+// them in several windows of several chunks (a window holds one chunk of
+// about kIngestChunkBytes per thread).
+
+/// A generated crawl written as text, about 3 MiB of pages and 10 MiB of
+/// edges; built once.
+struct BigCrawl {
+  WebCorpus corpus;
+  std::string pages, edges;
+};
+
+const BigCrawl& big_crawl() {
+  static const BigCrawl crawl = [] {
+    WebGenConfig cfg;
+    cfg.num_sources = 4000;
+    cfg.num_spam_sources = 80;
+    cfg.seed = 17;
+    BigCrawl c;
+    c.corpus = generate_web_corpus(cfg);
+    c.pages = pages_text(c.corpus);
+    c.edges = edges_text(c.corpus.pages);
+    return c;
+  }();
+  return crawl;
+}
+
+TEST(ParallelIngest, CorpusIsBitwiseEqualAtEveryThreadCount) {
+  const BigCrawl& crawl = big_crawl();
+  ASSERT_GT(crawl.edges.size(), 4 * kIngestChunkBytes);
+  ASSERT_GT(crawl.pages.size(), kIngestChunkBytes);
+  std::istringstream ref_pages(crawl.pages), ref_edges(crawl.edges);
+  const WebCorpus want = reference_read_url_corpus(ref_pages, ref_edges);
+  EXPECT_EQ(want.pages, crawl.corpus.pages);
+  EXPECT_EQ(want.source_hosts, crawl.corpus.source_hosts);
+  at_thread_counts([&] {
+    std::istringstream pages(crawl.pages), edges(crawl.edges);
+    expect_same_corpus(read_url_corpus(pages, edges), want);
+  });
+}
+
+TEST(ParallelIngest, ShuffledEdgesWithDuplicatesGiveOneGraph) {
+  // Unsorted lines, repeated edges, comments and CRLF spread over every
+  // chunk: the CSR assembly sees rows in every order.
+  const Graph& g = big_crawl().corpus.pages;
+  std::vector<std::string> lines;
+  for (NodeId u = 0; u < g.num_nodes(); ++u)
+    for (const NodeId v : g.out_neighbors(u)) {
+      lines.push_back(std::to_string(u) + ' ' + std::to_string(v));
+      if ((u + v) % 5 == 0) lines.push_back(std::to_string(u) + "\t" +
+                                            std::to_string(v) + "\r");
+      if ((u ^ v) % 97 == 0) lines.push_back("# comment " + std::to_string(v));
+    }
+  Pcg32 rng(3);
+  for (std::size_t i = lines.size(); i > 1; --i)
+    std::swap(lines[i - 1], lines[rng.next_below(static_cast<u32>(i))]);
+  std::string text;
+  for (const std::string& line : lines) text += line + '\n';
+  ASSERT_GT(text.size(), 4 * kIngestChunkBytes);
+  at_thread_counts([&] {
+    std::istringstream in(text);
+    EXPECT_EQ(read_edge_list(in, g.num_nodes()), g);
+    std::istringstream inferred(text);
+    EXPECT_EQ(read_edge_list(inferred), g);
+  });
+}
+
+/// `lines` filler edge lines with `bad` replacing the lines at the given
+/// 0-based indices.
+std::string edges_with(u64 lines,
+                       const std::vector<std::pair<u64, std::string>>& bad) {
+  std::string text = filler_edges(lines);
+  for (const auto& [index, line] : bad) {
+    EXPECT_EQ(line.size(), 11u);  // keeps every other line where it was
+    text.replace(index * 12, 11, line);
+  }
+  return text;
+}
+
+TEST(ParallelIngest, EarlierOfTwoMalformedLinesIsReported) {
+  // Lines at about 1 MiB and 3 MiB: the same window at 2 and 4 threads
+  // (chunks of about 2 MiB), so they fail in two chunks of one window.
+  const u64 lines = (6 * kIngestChunkBytes) / 12;
+  const u64 early = kIngestChunkBytes / 2 / 12, late = 3 * early;
+  const std::string shape = edges_with(
+      lines, {{early, "1 2 3 4 5 6"}, {late, "x0001 00002"}});
+  const std::string parse = edges_with(
+      lines, {{early, "x0001 00002"}, {late, "1 2 3 4 5 6"}});
+  at_thread_counts([&] {
+    std::istringstream a(shape), b(parse);
+    const std::string first = error_text([&] { read_edge_list(a); });
+    EXPECT_TRUE(ends_with(first, "read_edge_list: line " +
+                                     std::to_string(early + 1) +
+                                     ": expected 'u v', got '1 2 3 4 5 6'"))
+        << first;
+    EXPECT_EQ(error_text([&] { read_edge_list(b); }),
+              "parse_u64: non-digit in 'x0001'");
+  });
+}
+
+TEST(ParallelIngest, BadLineInAWindowsLastChunkIsReported) {
+  // About 7 MiB in: the last chunk of its window at 1, 2 and 4 threads
+  // (windows of 2, 4 and 8 MiB); and a bad last line with no newline.
+  const u64 lines = (9 * kIngestChunkBytes / 2) / 12;
+  const u64 at = (7 * kIngestChunkBytes / 2) / 12;
+  const std::string mid = edges_with(lines, {{at, "00001 0000z"}});
+  const std::string tail = filler_edges(lines) + "5 5 5";
+  at_thread_counts([&] {
+    std::istringstream a(mid), b(tail);
+    EXPECT_EQ(error_text([&] { read_edge_list(a); }),
+              "parse_u64: non-digit in '0000z'");
+    const std::string last = error_text([&] { read_edge_list(b); });
+    EXPECT_TRUE(ends_with(last, "read_edge_list: line " +
+                                    std::to_string(lines + 1) +
+                                    ": expected 'u v', got '5 5 5'"))
+        << last;
+  });
+}
+
+TEST(ParallelIngest, WorkerErrorsReachTheCallerAsSrsrError) {
+  // Each error is raised inside a chunk parsed on a worker thread; it
+  // must arrive as srsr::Error with the serial reader's text
+  // (error_text catches srsr::Error only; anything else fails the test,
+  // an escape from the parallel region would abort the process).
+  const BigCrawl& crawl = big_crawl();
+  const std::size_t cut = crawl.pages.find('\n', crawl.pages.size() * 3 / 4);
+  std::string no_host = crawl.pages, huge_id = crawl.pages;
+  no_host.insert(cut + 1, "7 http:///nohost\n");
+  huge_id.insert(cut + 1, "4294967295 http://x.example/\n");
+  const u64 lines = (5 * kIngestChunkBytes / 2) / 12;
+  const auto after_filler = [&](const std::string& line) {
+    return filler_edges(lines) + line + "\n" + filler_edges(9);
+  };
+  const std::string overflow = after_filler("1 18446744073709551616");
+  const std::string too_large = after_filler("4294967295 1");
+  const std::string out_of_range = after_filler("00007 00001");
+  at_thread_counts([&] {
+    std::istringstream p1(no_host), e1(crawl.edges);
+    EXPECT_EQ(error_text([&] { read_url_corpus(p1, e1); }),
+              "host_of: no host in URL 'http:///nohost'");
+    std::istringstream p2(huge_id), e2(crawl.edges);
+    EXPECT_TRUE(ends_with(error_text([&] { read_url_corpus(p2, e2); }),
+                          "read_url_corpus: page id too large"));
+    std::istringstream e3(overflow);
+    EXPECT_EQ(error_text([&] { read_edge_list(e3); }),
+              "parse_u64: overflow in '18446744073709551616'");
+    std::istringstream e4(too_large);
+    EXPECT_TRUE(ends_with(error_text([&] { read_edge_list(e4); }),
+                          "read_edge_list: line " +
+                              std::to_string(lines + 1) + ": id too large"));
+    std::istringstream e5(out_of_range);
+    EXPECT_TRUE(ends_with(error_text([&] { read_edge_list(e5, 3); }),
+                          "GraphBuilder::add_edge: node id out of range"));
+  });
 }
 
 }  // namespace
