@@ -513,6 +513,46 @@ BENCHMARK(BM_ReadEdgeList)
     ->ArgsProduct({{1 << 16, 1 << 18, 1 << 20, 1 << 23}, {1, 0}})
     ->Unit(benchmark::kMillisecond);
 
+// ---- One rank::iterate step (DESIGN.md §16): the throttled T' of a
+// crawl at perfbench's density, solved through the ThrottledView as
+// SpamResilientSourceRank::rank does, at 1 thread and at num_threads()
+// (second argument 0). A matrix of at most kDeterministicSumChunk rows is
+// one chunk and runs serially by design; the rows show where the
+// chunked region starts to pay and how the chunks balance at 20k rows.
+
+void BM_IterateStep(benchmark::State& state) {
+  const ThreadCount threads(state.range(1));
+  const auto& corpus = corpus_of(static_cast<u32>(state.range(0)));
+  const core::SourceMap map = core::SourceMap::from_corpus(corpus);
+  const core::SourceGraph sg(corpus.pages, map);
+  const auto tprime = sg.consensus_matrix(/*with_self_edges=*/true);
+  const auto transpose = tprime.transpose();
+  std::vector<f64> kappa(sg.num_sources(), 0.0);
+  for (u32 s = 0; s < sg.num_sources(); s += 3) kappa[s] = 0.9;
+  const rank::ThrottledView view(
+      tprime, transpose,
+      core::make_throttle_plan(core::ThrottleRowStats::of(tprime), kappa,
+                               core::ThrottleMode::kSelfAbsorb));
+  // A fixed number of steps per solve, so the per-solve setup (two O(V)
+  // vectors) is amortized the way a converging solve amortizes it.
+  constexpr u32 kSteps = 50;
+  rank::SolverConfig cfg;
+  cfg.convergence.tolerance = 0.0;
+  cfg.convergence.max_iterations = kSteps;
+  for (auto _ : state) {
+    const auto r = rank::power_solve(view, cfg);
+    benchmark::DoNotOptimize(r.scores.data());
+  }
+  state.counters["rows"] = sg.num_sources();
+  state.counters["entries"] = static_cast<double>(tprime.num_entries());
+  state.counters["threads"] = num_threads();
+  state.counters["steps/s"] = benchmark::Counter(
+      kSteps, benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_IterateStep)
+    ->ArgsProduct({{300, 2000, 8000, 20000}, {1, 0}})
+    ->Unit(benchmark::kMillisecond);
+
 /// Console reporter that additionally collects every run into a
 /// RunReport table, written as bench_out/BENCH_micro_kernels.json.
 class CollectingReporter : public benchmark::ConsoleReporter {

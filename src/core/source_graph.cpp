@@ -1,46 +1,37 @@
 #include "core/source_graph.hpp"
 
 #include <algorithm>
+#include <utility>
 
-#include "graph/builder.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 
 namespace srsr::core {
 
-SourceGraph::SourceGraph(const graph::Graph& pages, const SourceMap& map)
-    : map_(&map) {
-  SRSR_CHECK(pages.num_nodes() == map.num_pages(),
-             "SourceGraph: page graph and source map disagree on page count");
-  const u32 ns = map.num_sources();
-
-  // Per page: the set of distinct target sources (a page linking to
-  // three pages of s_j still contributes 1 to w(s_i, s_j) — the
-  // indicator-OR in the paper's consensus formula). Each task derives
-  // the (origin source, target source) pairs of a run of pages with
-  // about equal link counts; assembling them with multiplicities yields
-  // the topology and, as each entry's multiplicity, its consensus count.
-  const u64 links = pages.num_edges();
+graph::CsrAssembly derive_source_topology(
+    std::span<const NodeId> source, u32 num_sources,
+    std::span<const u64> link_offsets,
+    const std::function<std::span<const NodeId>(NodeId)>& links_of) {
+  SRSR_CHECK(link_offsets.size() == source.size() + 1,
+             "derive_source_topology: ", link_offsets.size(),
+             " link offsets for ", source.size(), " pages");
+  const auto pages = static_cast<NodeId>(source.size());
+  const u64 links = link_offsets[pages];
   const std::size_t tasks = task_count(links, graph::kCsrParallelCutoff);
   const auto first_page = [&](std::size_t t) -> NodeId {
-    if (t == tasks) return pages.num_nodes();
-    const auto& offsets = pages.offsets();
+    if (t == tasks) return pages;
     return static_cast<NodeId>(
-        std::lower_bound(offsets.begin(), offsets.end() - 1,
+        std::lower_bound(link_offsets.begin(), link_offsets.end() - 1,
                          split_point(links, tasks, t)) -
-        offsets.begin());
+        link_offsets.begin());
   };
-  // Ids are in range by construction (Graph targets < num_nodes, checked
-  // equal to the map's page count above), so the loop reads the map
-  // directly instead of through the checked source_of.
-  const std::vector<NodeId>& source = map.page_source();
   // A page adds at most one pair per link, so each task's buffer is
   // reserved for its links here, on the calling thread: the tasks never
   // grow it, and the untouched tail is address space, not memory.
   std::vector<std::vector<graph::Edge>> parts(tasks);
   for (std::size_t t = 0; t < tasks; ++t)
-    parts[t].reserve(pages.offsets()[first_page(t + 1)] -
-                     pages.offsets()[first_page(t)]);
+    parts[t].reserve(link_offsets[first_page(t + 1)] -
+                     link_offsets[first_page(t)]);
   parallel_for(0, tasks, [&](std::size_t t) {
     const NodeId lo = first_page(t), hi = first_page(t + 1);
     // A local handle, so the tasks' appends share no cache line.
@@ -48,8 +39,7 @@ SourceGraph::SourceGraph(const graph::Graph& pages, const SourceMap& map)
     std::vector<NodeId> targets;
     for (NodeId p = lo; p < hi; ++p) {
       targets.clear();
-      for (const NodeId q : pages.out_neighbors(p))
-        targets.push_back(source[q]);
+      for (const NodeId q : links_of(p)) targets.push_back(source[q]);
       std::sort(targets.begin(), targets.end());
       targets.erase(std::unique(targets.begin(), targets.end()),
                     targets.end());
@@ -57,8 +47,20 @@ SourceGraph::SourceGraph(const graph::Graph& pages, const SourceMap& map)
     }
     parts[t] = std::move(pairs);
   });
-  graph::CsrAssembly csr =
-      graph::assemble_csr(ns, std::move(parts), /*count_multiplicity=*/true);
+  return graph::assemble_csr(num_sources, std::move(parts),
+                             /*count_multiplicity=*/true);
+}
+
+SourceGraph::SourceGraph(const graph::Graph& pages, const SourceMap& map)
+    : map_(&map) {
+  SRSR_CHECK(pages.num_nodes() == map.num_pages(),
+             "SourceGraph: page graph and source map disagree on page count");
+  // Ids are in range by construction (Graph targets < num_nodes, checked
+  // equal to the map's page count above), so the derivation reads the
+  // map directly instead of through the checked source_of.
+  graph::CsrAssembly csr = derive_source_topology(
+      map.page_source(), map.num_sources(), pages.offsets(),
+      [&](NodeId p) { return pages.out_neighbors(p); });
   topology_ = std::move(csr.graph);
   consensus_ = std::move(csr.multiplicity);
 }

@@ -27,22 +27,38 @@
 // no dangling rows and the eigenvector and linear solvers agree.
 #pragma once
 
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/source_map.hpp"
+#include "graph/builder.hpp"
 #include "graph/graph.hpp"
 #include "rank/stochastic.hpp"
 #include "util/common.hpp"
 
 namespace srsr::core {
 
+/// The source topology of a page graph, with each entry's consensus
+/// count as its multiplicity: per page p, one (source[p], source[q])
+/// pair per distinct target source of its links (a page linking to
+/// three pages of s_j still contributes 1 to w(s_i, s_j), the paper's
+/// indicator-OR), folded by graph::assemble_csr. `links_of(p)` is page
+/// p's targets and `link_offsets[p]` counts the links of the pages
+/// before p (size pages + 1). From graph::kCsrParallelCutoff links up,
+/// runs of pages with about equal link counts derive their pairs in
+/// parallel; the result does not depend on the thread count. The one
+/// derivation behind SourceGraph and DynamicSourceGraph::topology().
+graph::CsrAssembly derive_source_topology(
+    std::span<const NodeId> source, u32 num_sources,
+    std::span<const u64> link_offsets,
+    const std::function<std::span<const NodeId>(NodeId)>& links_of);
+
 class SourceGraph {
  public:
   /// Builds topology + consensus counts in O(pages + page-edges) plus
-  /// per-page target dedup: runs of pages derive their (source, target
-  /// source) pairs in parallel, and graph::assemble_csr folds them into
-  /// the topology with each entry's multiplicity as its consensus count.
-  /// The result does not depend on the thread count.
+  /// per-page target dedup, through derive_source_topology. The result
+  /// does not depend on the thread count.
   SourceGraph(const graph::Graph& pages, const SourceMap& map);
 
   u32 num_sources() const { return map_->num_sources(); }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "graph/transforms.hpp"
 #include "util/check.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
@@ -22,23 +21,25 @@ rank::RankResult spam_proximity(const graph::Graph& source_topology,
     obs::MetricsRegistry::instance()
         .counter("srsr.core.spam_proximity.solves")
         .add();
-  // Invert the source graph: a source pointed TO by many sources in the
-  // original graph points to them here, so spam mass flows backwards
-  // along citations — onto the sources that endorse spam.
-  const graph::Graph inverted = graph::reverse(source_topology);
-
-  std::vector<f64> teleport(inverted.num_nodes(), 0.0);
+  const NodeId n = source_topology.num_nodes();
+  std::vector<f64> teleport(n, 0.0);
   for (const NodeId s : spam_seeds) {
-    SRSR_CHECK(s < inverted.num_nodes(), "spam_proximity: seed id ", s,
-               " out of range (", inverted.num_nodes(), " sources)");
+    SRSR_CHECK(s < n, "spam_proximity: seed id ", s, " out of range (", n,
+               " sources)");
     teleport[s] = 1.0;
   }
 
+  // Walk the inverted source graph: a source pointed TO by many sources
+  // in the original graph points to them here, so spam mass flows
+  // backwards along citations — onto the sources that endorse spam. Its
+  // pull rows are the topology's own rows, so nothing is transposed.
+  const rank::PageRank inverted(source_topology,
+                                rank::GraphOperator::Walk::kAgainst);
   rank::PageRankConfig pr;
   pr.alpha = config.beta;
   pr.convergence = config.convergence;
   pr.teleport = std::move(teleport);
-  return rank::pagerank(inverted, pr);
+  return inverted.solve(pr);
 }
 
 }  // namespace srsr::core

@@ -44,16 +44,16 @@ struct ThreadRing {
   }
 };
 
-/// Registry of all thread rings. Rings are leaked deliberately: a
-/// detached thread's spans must stay collectable after the thread
-/// exits, and the registry lives for the process anyway.
+/// Registry of all thread rings. Rings outlive their threads (a detached
+/// thread's spans must stay collectable after it exits), and the
+/// registry is never destroyed, so every ring stays reachable from it.
 struct RingRegistry {
   std::mutex mutex;
   std::vector<ThreadRing*> rings;
 
   static RingRegistry& instance() {
-    static RingRegistry reg;
-    return reg;
+    static RingRegistry* const reg = new RingRegistry;
+    return *reg;
   }
 
   ThreadRing* make_ring() {

@@ -1,27 +1,37 @@
 #include "rank/operator.hpp"
 
+#include <algorithm>
+
+#include "graph/transforms.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace srsr::rank {
+
+void TransitionOperator::pull(std::span<const f64> x, std::span<f64> y) const {
+  const NodeId n = num_rows();
+  SRSR_CHECK(x.size() == n && y.size() == n,
+             "TransitionOperator::pull: size mismatch");
+  pull_rows(x, y, 0, n);
+}
 
 MatrixOperator::MatrixOperator(const StochasticMatrix& matrix)
     : matrix_(&matrix),
       pull_(matrix.transpose()),
       deficits_(matrix.row_deficits()) {}
 
-void MatrixOperator::pull(std::span<const f64> x, std::span<f64> y) const {
-  const NodeId n = num_rows();
-  SRSR_CHECK(x.size() == n && y.size() == n,
-             "MatrixOperator::pull: size mismatch");
+void MatrixOperator::pull_rows(std::span<const f64> x, std::span<f64> y,
+                               NodeId begin, NodeId end) const {
+  SRSR_DCHECK(begin <= end && end <= num_rows() && x.size() == num_rows() &&
+                  y.size() == num_rows(),
+              "MatrixOperator::pull_rows: rows or sizes out of range");
   // srsr:hot matrix-pull
-  parallel_for(0, n, [&](std::size_t v) {
-    const auto cs = pull_.row_cols(static_cast<NodeId>(v));
-    const auto ws = pull_.row_weights(static_cast<NodeId>(v));
+  for (NodeId v = begin; v < end; ++v) {
+    const auto cs = pull_.row_cols(v);
+    const auto ws = pull_.row_weights(v);
     f64 acc = 0.0;
     for (std::size_t i = 0; i < cs.size(); ++i) acc += x[cs[i]] * ws[i];
     y[v] = acc;
-  });
+  }
   // srsr:endhot
 }
 
@@ -71,26 +81,27 @@ void ThrottledView::reset_plan(RowAffinePlan plan) {
   plan_ = std::move(plan);
 }
 
-void ThrottledView::pull(std::span<const f64> x, std::span<f64> y) const {
-  const NodeId n = num_rows();
-  SRSR_CHECK(x.size() == n && y.size() == n,
-             "ThrottledView::pull: size mismatch");
+void ThrottledView::pull_rows(std::span<const f64> x, std::span<f64> y,
+                              NodeId begin, NodeId end) const {
+  SRSR_DCHECK(begin <= end && end <= num_rows() && x.size() == num_rows() &&
+                  y.size() == num_rows(),
+              "ThrottledView::pull_rows: rows or sizes out of range");
   const f64* const scale = plan_.off_scale.data();
   const f64* const diag = plan_.diagonal.data();
   // srsr:hot throttled-pull
-  parallel_for(0, n, [&](std::size_t v) {
-    const auto cs = pull_->row_cols(static_cast<NodeId>(v));
-    const auto ws = pull_->row_weights(static_cast<NodeId>(v));
+  for (NodeId v = begin; v < end; ++v) {
+    const auto cs = pull_->row_cols(v);
+    const auto ws = pull_->row_weights(v);
     f64 acc = 0.0;
     for (std::size_t i = 0; i < cs.size(); ++i) {
       const NodeId u = cs[i];
       // Off-diagonal entries of origin row u are rescaled by scale[u];
       // the diagonal is overridden wholesale below (it may exist even
       // where the base pattern has no self entry).
-      if (u != static_cast<NodeId>(v)) acc += x[u] * scale[u] * ws[i];
+      if (u != v) acc += x[u] * scale[u] * ws[i];
     }
     y[v] = acc + x[v] * diag[v];
-  });
+  }
   // srsr:endhot
 }
 
@@ -155,6 +166,63 @@ OperatorRow ThrottledView::row(NodeId u, std::vector<NodeId>& cols_scratch,
   }
   return {cols_scratch, weights_scratch};
   // srsr:endhot
+}
+
+GraphOperator::GraphOperator(const graph::Graph& g, Walk walk) {
+  if (walk == Walk::kAlong)
+    owned_ = graph::reverse(g);
+  else
+    borrowed_ = &g;
+  // A walk edge u -> v puts u in pull row v, so d(u) is u's in-degree
+  // in the pull rows.
+  const std::vector<u64> degree = rows().in_degrees();
+  scale_.assign(degree.size(), 0.0);
+  deficits_.assign(degree.size(), 1.0);
+  for (std::size_t u = 0; u < degree.size(); ++u)
+    if (degree[u] != 0) {
+      scale_[u] = 1.0 / static_cast<f64>(degree[u]);
+      deficits_[u] = 0.0;
+    }
+}
+
+void GraphOperator::pull_rows(std::span<const f64> x, std::span<f64> y,
+                              NodeId begin, NodeId end) const {
+  SRSR_DCHECK(begin <= end && end <= num_rows() && x.size() == num_rows() &&
+                  y.size() == num_rows(),
+              "GraphOperator::pull_rows: rows or sizes out of range");
+  const graph::Graph& g = rows();
+  const f64* const scale = scale_.data();
+  // srsr:hot graph-pull
+  for (NodeId v = begin; v < end; ++v) {
+    f64 acc = 0.0;
+    for (const NodeId u : g.out_neighbors(v)) acc += x[u] * scale[u];
+    y[v] = acc;
+  }
+  // srsr:endhot
+}
+
+f64 GraphOperator::pull_off_diagonal(NodeId v, std::span<const f64> x) const {
+  f64 acc = 0.0;
+  for (const NodeId u : rows().out_neighbors(v))
+    if (u != v) acc += x[u] * scale_[u];
+  return acc;
+}
+
+f64 GraphOperator::diagonal(NodeId v) const {
+  const auto us = rows().out_neighbors(v);
+  return static_cast<f64>(std::count(us.begin(), us.end(), v)) * scale_[v];
+}
+
+OperatorRow GraphOperator::row(NodeId u, std::vector<NodeId>& cols_scratch,
+                               std::vector<f64>& weights_scratch) const {
+  cols_scratch.clear();
+  for (NodeId v = 0; v < num_rows(); ++v) {
+    const auto us = rows().out_neighbors(v);
+    cols_scratch.insert(cols_scratch.end(),
+                        std::count(us.begin(), us.end(), u), v);
+  }
+  weights_scratch.assign(cols_scratch.size(), scale_[u]);
+  return {cols_scratch, weights_scratch};
 }
 
 }  // namespace srsr::rank

@@ -3,13 +3,16 @@
 // The solvers never needed a concrete matrix — they need four access
 // patterns over one:
 //
-//   pull(x, y)               y = A^T x, the hot kernel of the power and
-//                            Jacobi routes (parallel across rows);
-//   pull_off_diagonal(v, x)  the Gauss-Seidel inner step (serial);
+//   pull_rows(x, y, b, e)    y_v = (A^T x)_v for v in [b, e), the hot
+//                            kernel of the power and Jacobi routes;
+//   pull_off_diagonal(v, x)  the Gauss-Seidel inner step;
 //   diagonal(v)              A_vv, for the implicit Gauss-Seidel solve;
 //   row(u, ...)              forward row access, for residual push.
 //
-// Two implementations:
+// Operators are serial: rank::iterate owns the only parallel region of
+// an iteration and hands each task a fixed chunk of rows.
+//
+// Three implementations:
 //
 //   MatrixOperator  — wraps a materialized StochasticMatrix; transposes
 //                     it once at construction. This is exactly the old
@@ -23,6 +26,8 @@
 //                     costs an O(V) plan build per configuration
 //                     instead of two O(E) copies (materialize +
 //                     transpose).
+//   GraphOperator   — the uniform walk of a graph, along its edges
+//                     (PageRank) or against them (spam proximity).
 //
 // A ThrottledView is immutable after construction and safe to share
 // across threads for concurrent pull()/row() calls (lock-free reads of
@@ -32,6 +37,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/graph.hpp"
 #include "rank/stochastic.hpp"
 #include "util/common.hpp"
 
@@ -71,13 +77,17 @@ class TransitionOperator {
   /// power solver re-routes to the teleport distribution.
   virtual const std::vector<f64>& deficits() const = 0;
 
-  /// y_v = sum_u x_u * A_uv for every v (pull form). Parallel across
-  /// destination rows; x and y must both have num_rows() entries and
-  /// must not alias.
-  virtual void pull(std::span<const f64> x, std::span<f64> y) const = 0;
+  /// y_v = sum_u x_u * A_uv for every v in [begin, end) (pull form),
+  /// serially; y outside the range is untouched. x and y must both have
+  /// num_rows() entries and must not alias.
+  virtual void pull_rows(std::span<const f64> x, std::span<f64> y,
+                         NodeId begin, NodeId end) const = 0;
+
+  /// pull_rows over every row, after checking the sizes.
+  void pull(std::span<const f64> x, std::span<f64> y) const;
 
   /// sum_{u != v} x_u * A_uv — the Gauss-Seidel off-diagonal pull for
-  /// one destination row (serial by nature).
+  /// one destination row.
   virtual f64 pull_off_diagonal(NodeId v, std::span<const f64> x) const = 0;
 
   /// A_vv.
@@ -102,7 +112,8 @@ class MatrixOperator final : public TransitionOperator {
   NodeId num_rows() const override { return matrix_->num_rows(); }
   u64 num_entries() const override { return matrix_->num_entries(); }
   const std::vector<f64>& deficits() const override { return deficits_; }
-  void pull(std::span<const f64> x, std::span<f64> y) const override;
+  void pull_rows(std::span<const f64> x, std::span<f64> y, NodeId begin,
+                 NodeId end) const override;
   f64 pull_off_diagonal(NodeId v, std::span<const f64> x) const override;
   f64 diagonal(NodeId v) const override;
   OperatorRow row(NodeId u, std::vector<NodeId>& cols_scratch,
@@ -139,7 +150,8 @@ class ThrottledView final : public TransitionOperator {
   NodeId num_rows() const override { return base_->num_rows(); }
   u64 num_entries() const override { return base_->num_entries(); }
   const std::vector<f64>& deficits() const override { return plan_.deficit; }
-  void pull(std::span<const f64> x, std::span<f64> y) const override;
+  void pull_rows(std::span<const f64> x, std::span<f64> y, NodeId begin,
+                 NodeId end) const override;
   f64 pull_off_diagonal(NodeId v, std::span<const f64> x) const override;
   f64 diagonal(NodeId v) const override { return plan_.diagonal[v]; }
   /// Off-diagonal entries scaled by off_scale[u], the diagonal
@@ -158,6 +170,45 @@ class ThrottledView final : public TransitionOperator {
   const StochasticMatrix* base_;
   const StochasticMatrix* pull_;  // transpose of *base_
   RowAffinePlan plan_;
+};
+
+/// The uniform random walk of a graph: A_uv = 1/d(u) per walk edge
+/// u -> v, d(u) the walk's out-degree of u; deficit 1 on dangling rows
+/// (d = 0), 0 elsewhere.
+class GraphOperator final : public TransitionOperator {
+ public:
+  enum class Walk {
+    kAlong,    // g's edges; pulls over reverse(g), built once here
+    kAgainst,  // the inverted graph's; pulls over g's own rows (no
+               // transpose), so g must outlive the operator
+  };
+
+  GraphOperator(const graph::Graph& g, Walk walk);
+
+  NodeId num_rows() const override { return rows().num_nodes(); }
+  u64 num_entries() const override { return rows().num_edges(); }
+  const std::vector<f64>& deficits() const override { return deficits_; }
+  void pull_rows(std::span<const f64> x, std::span<f64> y, NodeId begin,
+                 NodeId end) const override;
+  f64 pull_off_diagonal(NodeId v, std::span<const f64> x) const override;
+  f64 diagonal(NodeId v) const override;
+  /// Column scan of the pull rows, O(E) per call: no solver pushes over
+  /// a graph walk; this satisfies the interface, it is not fast.
+  OperatorRow row(NodeId u, std::vector<NodeId>& cols_scratch,
+                  std::vector<f64>& weights_scratch) const override;
+  u64 memory_bytes() const override {
+    return owned_.memory_bytes() +
+           (scale_.size() + deficits_.size()) * sizeof(f64);
+  }
+
+ private:
+  /// Row v lists every u with a walk edge u -> v.
+  const graph::Graph& rows() const { return borrowed_ ? *borrowed_ : owned_; }
+
+  graph::Graph owned_;                      // reverse(g) for kAlong
+  const graph::Graph* borrowed_ = nullptr;  // g for kAgainst
+  std::vector<f64> scale_;                  // 1/d(u), 0 when dangling
+  std::vector<f64> deficits_;
 };
 
 }  // namespace srsr::rank

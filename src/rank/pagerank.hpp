@@ -1,60 +1,43 @@
 // PageRank over an unweighted page graph (Page et al., 1998).
 //
 // This is the baseline the paper attacks: pi = alpha * M^T pi + (1-alpha) e
-// (Eq. 1), solved by the power method on the teleportation-completed
-// Markov chain. Implementation notes:
-//
-//   - Pull iteration over the reverse graph: next[v] is accumulated from
-//     v's in-neighbors, so rows parallelize with no atomics (the reverse
-//     graph is built once per solver, reused across re-runs on the same
-//     topology — the attack harness re-ranks many variants).
-//   - Dangling pages: their mass is redistributed according to the
-//     teleport vector every iteration (the standard strong-preference
-//     completion), keeping the iterate a probability distribution.
-//   - Personalized teleport: pass a non-uniform `teleport` distribution
-//     (used by TrustRank and by the paper's spam-proximity walk).
+// (Eq. 1), solved by the power method (rank::iterate) on the uniform walk
+// of the graph (GraphOperator), whose reverse graph is built once per
+// solver and reused across re-runs — the attack harness re-ranks many
+// variants. Dangling pages' mass is redistributed by the teleport vector
+// every iteration (strong-preference completion). A non-uniform teleport
+// gives personalized PageRank: TrustRank, and the paper's spam-proximity
+// walk against the source graph's edges.
 #pragma once
 
-#include <optional>
-#include <vector>
-
 #include "graph/graph.hpp"
-#include "rank/convergence.hpp"
+#include "rank/operator.hpp"
 #include "rank/result.hpp"
-#include "util/common.hpp"
+#include "rank/solvers.hpp"
 
 namespace srsr::rank {
 
-struct PageRankConfig {
-  /// Mixing parameter alpha (the paper uses 0.85 throughout).
-  f64 alpha = 0.85;
-  Convergence convergence;
-  /// Optional teleport distribution (size n, non-negative, sum ~1);
-  /// default is the uniform vector e = (1/n, ..., 1/n).
-  std::optional<std::vector<f64>> teleport;
-  /// Optional warm start (size n, non-negative, positive mass; it is
-  /// normalized before use). The attack harness re-ranks graphs that
-  /// differ by a handful of edges; starting from the previous solution
-  /// typically cuts iterations severalfold. The fixed point is
-  /// unchanged — only the path to it.
-  std::optional<std::vector<f64>> initial;
-};
+/// alpha, convergence, optional teleport and warm start: exactly the
+/// power solver's configuration.
+using PageRankConfig = SolverConfig;
 
-/// Reusable PageRank solver bound to one graph topology.
+/// Reusable PageRank solver bound to one graph topology. The walk runs
+/// along g's edges, or against them for the spam-proximity walk over
+/// the inverted graph (GraphOperator::Walk).
 class PageRank {
  public:
-  explicit PageRank(const graph::Graph& g);
+  explicit PageRank(const graph::Graph& g,
+                    GraphOperator::Walk walk = GraphOperator::Walk::kAlong);
 
-  /// Runs the power method from the uniform start vector.
+  /// Runs the power method from the uniform start vector (or the warm
+  /// start in `config.initial`).
   RankResult solve(const PageRankConfig& config) const;
 
   const graph::Graph& graph() const { return *graph_; }
 
  private:
-  const graph::Graph* graph_;       // non-owning; must outlive the solver
-  graph::Graph reverse_;            // transposed topology for pull iteration
-  std::vector<f64> inv_out_degree_; // 1/out_degree, 0 for dangling
-  std::vector<NodeId> dangling_;
+  const graph::Graph* graph_;  // non-owning; must outlive the solver
+  GraphOperator walk_;
 };
 
 /// One-shot convenience wrapper.

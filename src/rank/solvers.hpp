@@ -29,15 +29,33 @@
 
 namespace srsr::rank {
 
+/// Configuration of every power/Jacobi-style solve (PageRankConfig too).
 struct SolverConfig {
+  /// Mixing parameter alpha (the paper uses 0.85 throughout).
   f64 alpha = 0.85;
   Convergence convergence;
-  /// Teleport / static-score distribution c; uniform when absent.
+  /// Teleport / static-score distribution c (size n, non-negative, sum
+  /// ~1); uniform when absent.
   std::optional<std::vector<f64>> teleport;
-  /// Optional warm start (normalized before use); see
-  /// PageRankConfig::initial.
+  /// Optional warm start (size n, non-negative, positive mass; it is
+  /// normalized before use). Re-ranking a slightly changed graph or the
+  /// next kappa from the previous solution cuts iterations severalfold;
+  /// the fixed point is unchanged.
   std::optional<std::vector<f64>> initial;
 };
+
+/// The one power/Jacobi-style loop, under power_solve, jacobi_solve and
+/// PageRank. Each iteration is one parallel_for over chunks of
+/// kDeterministicSumChunk rows (pull, teleport update, residual and
+/// deficit partials), combined by a fixed pairwise tree: the result is
+/// bitwise independent of the thread count, and a solve of one chunk
+/// opens no OpenMP region. `complete_deficits` re-routes row deficits to
+/// the teleport vector (power) instead of dropping them (Jacobi).
+/// `scope_name` is the span (a literal); `metric_name` names the
+/// srsr.rank.<metric_name>.* counters.
+RankResult iterate(const TransitionOperator& op, const SolverConfig& config,
+                   bool complete_deficits, const char* scope_name,
+                   const char* metric_name);
 
 /// Power method on the teleportation-completed chain of `matrix`
 /// (rows = origin, as the paper writes T). Returns a distribution.

@@ -82,7 +82,7 @@ void RankSnapshot::stamp_epoch(u64 epoch) {
 
 RankSnapshot make_snapshot(const core::SpamResilientSourceRank& model,
                            std::span<const f64> kappa,
-                           std::vector<std::string> hosts,
+                           const std::vector<std::string>& hosts,
                            const SnapshotBuild& build) {
   obs::Scope stage("serve.snapshot_build");
   const bool warm = !build.warm_start.empty();
@@ -99,8 +99,7 @@ RankSnapshot make_snapshot(const core::SpamResilientSourceRank& model,
   meta.solve_seconds = result.seconds;
   meta.kappa_mass = std::accumulate(kappa.begin(), kappa.end(), 0.0);
   meta.warm_started = warm;
-  return RankSnapshot(std::move(result.scores), std::move(hosts),
-                      std::move(meta));
+  return RankSnapshot(std::move(result.scores), hosts, std::move(meta));
 }
 
 }  // namespace srsr::serve

@@ -112,11 +112,12 @@ struct SnapshotBuild {
 };
 
 /// Solves sigma for `kappa` and bundles it into an (unpublished)
-/// snapshot. `hosts` is copied into the snapshot; pass {} to synthesize
-/// "s<i>" names.
+/// snapshot. `hosts` is copied into the snapshot (inside the
+/// serve.snapshot_build span, which times the whole build); pass {} to
+/// synthesize "s<i>" names.
 RankSnapshot make_snapshot(const core::SpamResilientSourceRank& model,
                            std::span<const f64> kappa,
-                           std::vector<std::string> hosts,
+                           const std::vector<std::string>& hosts,
                            const SnapshotBuild& build = {});
 
 }  // namespace srsr::serve

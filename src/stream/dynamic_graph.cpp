@@ -5,7 +5,7 @@
 #include <set>
 #include <utility>
 
-#include "graph/builder.hpp"
+#include "core/source_graph.hpp"
 #include "obs/scope.hpp"
 #include "util/check.hpp"
 
@@ -250,22 +250,13 @@ rank::StochasticMatrix DynamicSourceGraph::materialize() const {
 
 graph::Graph DynamicSourceGraph::topology() const {
   obs::Scope stage("stream.topology");
-  const u32 ns = num_sources();
-  graph::GraphBuilder builder(ns);
-  std::vector<NodeId> targets_scratch;
-  for (u32 s = 0; s < ns; ++s) {
-    for (const NodeId p : source_pages_[s]) {
-      targets_scratch.clear();
-      for (const NodeId q : page_out_[p])
-        targets_scratch.push_back(page_source_[q]);
-      std::sort(targets_scratch.begin(), targets_scratch.end());
-      targets_scratch.erase(
-          std::unique(targets_scratch.begin(), targets_scratch.end()),
-          targets_scratch.end());
-      for (const NodeId t : targets_scratch) builder.add_edge(s, t);
-    }
-  }
-  return builder.build();
+  std::vector<u64> link_offsets(page_out_.size() + 1, 0);
+  for (std::size_t p = 0; p < page_out_.size(); ++p)
+    link_offsets[p + 1] = link_offsets[p] + page_out_[p].size();
+  return core::derive_source_topology(
+             page_source_, num_sources(), link_offsets,
+             [&](NodeId p) -> std::span<const NodeId> { return page_out_[p]; })
+      .graph;
 }
 
 }  // namespace srsr::stream

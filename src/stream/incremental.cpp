@@ -26,19 +26,21 @@ class DynamicOperator final : public rank::TransitionOperator {
   u64 num_entries() const override { return graph_->row_entries(); }
   const std::vector<f64>& deficits() const override { return plan_->deficit; }
 
-  void pull(std::span<const f64> x, std::span<f64> y) const override {
+  void pull_rows(std::span<const f64> x, std::span<f64> y, NodeId begin,
+                 NodeId end) const override {
+    // Forward scan of every row, keeping entries in [begin, end): the
+    // stream path only pushes; no solver pulls through this operator.
+    for (NodeId v = begin; v < end; ++v) y[v] = 0.0;
     const NodeId n = num_rows();
-    SRSR_CHECK(x.size() == n && y.size() == n,
-               "DynamicOperator::pull: size mismatch");
-    for (f64& v : y) v = 0.0;
     for (NodeId u = 0; u < n; ++u) {
       const f64 xu = x[u];
       if (xu == 0.0) continue;
       const auto cs = graph_->row_cols(u);
       const auto ws = graph_->row_weights(u);
       for (std::size_t i = 0; i < cs.size(); ++i)
-        y[cs[i]] += xu * (cs[i] == u ? plan_->diagonal[u]
-                                     : plan_->off_scale[u] * ws[i]);
+        if (cs[i] >= begin && cs[i] < end)
+          y[cs[i]] += xu * (cs[i] == u ? plan_->diagonal[u]
+                                       : plan_->off_scale[u] * ws[i]);
     }
   }
 

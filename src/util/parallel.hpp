@@ -66,11 +66,27 @@ void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
 #endif
 }
 
-/// Chunk width of the deterministic reduction. Fixed (never derived
-/// from the thread count) so chunk boundaries — and therefore every
-/// intermediate rounding — are identical no matter how many threads
-/// execute the chunks.
-inline constexpr std::size_t kDeterministicSumChunk = 4096;
+/// Chunk width of the deterministic reductions: parallel_sum_deterministic
+/// and the row chunks of rank::iterate. Fixed (never derived from the
+/// thread count) so chunk boundaries — and therefore every intermediate
+/// rounding — are identical no matter how many threads execute the
+/// chunks; one chunk runs serially, with no OpenMP region. Measured in
+/// bench/micro_kernels BM_IterateStep (DESIGN.md §16.1).
+inline constexpr std::size_t kDeterministicSumChunk = 1024;
+
+/// Folds the non-empty `partial` into partial[0] by a fixed-shape
+/// pairwise tree (partial[i] = combine(partial[i], partial[i + stride])
+/// for doubling strides) and returns it. The order depends on
+/// partial.size() alone, and the log-depth tree bounds rounding error
+/// better than a linear pass.
+template <typename T, typename Combine>
+T combine_pairwise(std::vector<T>& partial, Combine&& combine) {
+  const std::size_t chunks = partial.size();
+  for (std::size_t stride = 1; stride < chunks; stride *= 2)
+    for (std::size_t i = 0; i + stride < chunks; i += 2 * stride)
+      partial[i] = combine(partial[i], partial[i + stride]);
+  return partial[0];
+}
 
 /// Bit-reproducible parallel sum: fn(i) over [begin, end), identical
 /// across runs AND across thread counts (1 thread, 64 threads, or the
@@ -78,11 +94,10 @@ inline constexpr std::size_t kDeterministicSumChunk = 4096;
 ///
 /// The range is cut into fixed-width chunks; each chunk is summed
 /// serially left-to-right (chunks are data-parallel work items), then
-/// the per-chunk partials are combined by a fixed-shape pairwise tree.
-/// Both orders depend only on (begin, end), never on the schedule.
-/// Costs one O(chunks) scratch vector per call when the range spans
-/// more than one chunk; single-chunk ranges take the serial path with
-/// no allocation.
+/// the per-chunk partials are combined by combine_pairwise. Both orders
+/// depend only on (begin, end), never on the schedule. Costs one
+/// O(chunks) scratch vector per call when the range spans more than one
+/// chunk; single-chunk ranges take the serial path with no allocation.
 template <typename Fn>
 f64 parallel_sum_deterministic(std::size_t begin, std::size_t end, Fn&& fn) {
   if (end <= begin) return 0.0;
@@ -102,14 +117,7 @@ f64 parallel_sum_deterministic(std::size_t begin, std::size_t end, Fn&& fn) {
     for (std::size_t i = lo; i < hi; ++i) sum += fn(i);
     partial[c] = sum;
   });
-  // Fixed-shape pairwise tree: partial[i] += partial[i + stride] for
-  // doubling strides — the combine order is a function of `chunks`
-  // alone, and the log-depth tree also bounds rounding error better
-  // than a linear pass.
-  for (std::size_t stride = 1; stride < chunks; stride *= 2)
-    for (std::size_t i = 0; i + stride < chunks; i += 2 * stride)
-      partial[i] += partial[i + stride];
-  return partial[0];
+  return combine_pairwise(partial, [](f64 a, f64 b) { return a + b; });
 }
 
 }  // namespace srsr

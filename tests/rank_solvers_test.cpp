@@ -4,12 +4,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <functional>
+#include <optional>
+#include <vector>
 
+#include "core/spam_proximity.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/transforms.hpp"
+#include "obs/trace.hpp"
 #include "rank/pagerank.hpp"
+#include "thread_counts.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace srsr::rank {
@@ -165,6 +173,151 @@ TEST_P(SolverAgreement, PowerEqualsJacobiOnAugmentedMatrices) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverAgreement,
                          ::testing::Values(3u, 5u, 8u, 13u, 21u));
+
+// ---- rank::iterate: the one loop, its chunk grid and its region ----
+
+/// A sparse random graph several iterate chunks wide, with a few
+/// dangling nodes (out-degree 0 at this density) so the deficit mass is
+/// exercised.
+graph::Graph wide_graph() {
+  constexpr NodeId n = 3 * kDeterministicSumChunk + 123;
+  Pcg32 rng(404);
+  return graph::erdos_renyi(n, 6.0 / n, rng);
+}
+
+/// Runs `solve` (given a fresh trace to attach) at 1, 2 and 4 threads
+/// and requires bitwise-identical scores, iteration counts and trace
+/// records (wall time aside).
+void expect_thread_count_invariant(
+    const std::function<RankResult(obs::IterationTrace*)>& solve) {
+  std::optional<RankResult> first;
+  std::vector<obs::IterationRecord> first_trace;
+  at_thread_counts([&] {
+    obs::IterationTrace trace;
+    RankResult r = solve(&trace);
+    ASSERT_TRUE(r.converged);
+    if (!first) {
+      first = std::move(r);
+      first_trace = trace.records();
+      return;
+    }
+    EXPECT_EQ(r.iterations, first->iterations);
+    EXPECT_EQ(r.residual, first->residual);
+    ASSERT_EQ(r.scores.size(), first->scores.size());
+    for (std::size_t i = 0; i < r.scores.size(); ++i)
+      ASSERT_EQ(r.scores[i], first->scores[i]) << "row " << i;
+    ASSERT_EQ(trace.records().size(), first_trace.size());
+    for (std::size_t k = 0; k < first_trace.size(); ++k) {
+      EXPECT_EQ(trace.records()[k].iteration, first_trace[k].iteration);
+      EXPECT_EQ(trace.records()[k].residual, first_trace[k].residual);
+      EXPECT_EQ(trace.records()[k].delta, first_trace[k].delta);
+    }
+  });
+}
+
+TEST(Iterate, PowerAndJacobiAreBitwiseThreadCountInvariant) {
+  const auto g = wide_graph();
+  ASSERT_GT(g.num_dangling(), 0u);
+  const auto m = StochasticMatrix::uniform_from_graph(g);
+  for (const Norm norm : {Norm::kL1, Norm::kL2, Norm::kLinf}) {
+    SCOPED_TRACE(static_cast<int>(norm));
+    expect_thread_count_invariant([&](obs::IterationTrace* trace) {
+      SolverConfig cfg = tight();
+      cfg.convergence.norm = norm;
+      cfg.convergence.trace = trace;
+      return power_solve(m, cfg);
+    });
+    expect_thread_count_invariant([&](obs::IterationTrace* trace) {
+      SolverConfig cfg = tight();
+      cfg.convergence.norm = norm;
+      cfg.convergence.trace = trace;
+      return jacobi_solve(m, cfg);
+    });
+  }
+}
+
+TEST(Iterate, PageRankAndSpamProximityAreBitwiseThreadCountInvariant) {
+  const auto g = wide_graph();
+  expect_thread_count_invariant([&](obs::IterationTrace* trace) {
+    PageRankConfig cfg = tight();
+    cfg.convergence.trace = trace;
+    return pagerank(g, cfg);
+  });
+  expect_thread_count_invariant([&](obs::IterationTrace* trace) {
+    core::SpamProximityConfig cfg;
+    cfg.convergence.tolerance = 1e-12;
+    cfg.convergence.trace = trace;
+    const NodeId n = g.num_nodes();
+    return core::spam_proximity(g, {3, n / 2, n - 1}, cfg);
+  });
+}
+
+/// Delegates to a MatrixOperator and records, per pull_rows call,
+/// whether it ran inside an active OpenMP parallel region.
+class RegionProbe final : public TransitionOperator {
+ public:
+  explicit RegionProbe(const StochasticMatrix& m) : inner_(m) {}
+
+  NodeId num_rows() const override { return inner_.num_rows(); }
+  u64 num_entries() const override { return inner_.num_entries(); }
+  const std::vector<f64>& deficits() const override {
+    return inner_.deficits();
+  }
+  void pull_rows(std::span<const f64> x, std::span<f64> y, NodeId begin,
+                 NodeId end) const override {
+    calls.fetch_add(1);
+#if defined(SRSR_HAVE_OPENMP)
+    if (omp_in_parallel()) parallel_calls.fetch_add(1);
+#endif
+    inner_.pull_rows(x, y, begin, end);
+  }
+  f64 pull_off_diagonal(NodeId v, std::span<const f64> x) const override {
+    return inner_.pull_off_diagonal(v, x);
+  }
+  f64 diagonal(NodeId v) const override { return inner_.diagonal(v); }
+  OperatorRow row(NodeId u, std::vector<NodeId>& cols,
+                  std::vector<f64>& weights) const override {
+    return inner_.row(u, cols, weights);
+  }
+  u64 memory_bytes() const override { return inner_.memory_bytes(); }
+
+  mutable std::atomic<u32> calls{0};
+  mutable std::atomic<u32> parallel_calls{0};
+
+ private:
+  MatrixOperator inner_;
+};
+
+TEST(Iterate, SolveOfOneChunkOpensNoParallelRegion) {
+  Pcg32 rng(77);
+  const auto g = graph::erdos_renyi(kDeterministicSumChunk, 0.01, rng);
+  const auto m = StochasticMatrix::uniform_from_graph(g);
+  at_thread_counts([&] {
+    const RegionProbe probe(m);
+    const auto r = power_solve(probe, tight());
+    EXPECT_TRUE(r.converged);
+    // One chunk per iteration, pulled on the calling thread.
+    EXPECT_EQ(probe.calls.load(), r.iterations);
+    EXPECT_EQ(probe.parallel_calls.load(), 0u);
+  });
+}
+
+#if defined(SRSR_HAVE_OPENMP)
+TEST(Iterate, WideSolvePullsItsChunksInOneRegion) {
+  // The probe's other side: with several chunks and a team, the pulls
+  // do run inside the iteration's region.
+  const auto m = StochasticMatrix::uniform_from_graph(wide_graph());
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(2);
+  const RegionProbe probe(m);
+  const auto r = power_solve(probe, tight());
+  omp_set_num_threads(saved);
+  const u32 chunks = (m.num_rows() + kDeterministicSumChunk - 1) /
+                     kDeterministicSumChunk;
+  EXPECT_EQ(probe.calls.load(), chunks * r.iterations);
+  EXPECT_EQ(probe.parallel_calls.load(), probe.calls.load());
+}
+#endif
 
 }  // namespace
 }  // namespace srsr::rank
